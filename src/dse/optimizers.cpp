@@ -184,6 +184,28 @@ class BatchRunner {
   std::vector<std::uint8_t> counts_;
 };
 
+/// When the progress sink fires: at the start, whenever the optimizer's
+/// own budget counter crosses a multiple of
+/// `stride = max(population, budget / 64)`, and when it reaches the budget.
+/// A run therefore emits at most 2 + budget / stride snapshots (about 66
+/// for any large budget, never more than 129), and which ones is a pure
+/// function of the options — never of threads or pool width.
+class ProgressCadence {
+ public:
+  ProgressCadence(std::size_t budget, std::size_t population)
+      : budget_(budget), stride_(std::max(population, budget / 64)) {}
+
+  /// True when advancing the counter from `before` to `after` crosses a
+  /// stride multiple or reaches the budget.
+  bool due(std::size_t before, std::size_t after) const {
+    return after / stride_ != before / stride_ || after == budget_;
+  }
+
+ private:
+  std::size_t budget_;
+  std::size_t stride_;
+};
+
 /// Fires the progress sink with a read-only snapshot of the run. Called
 /// outside all PRNG draws and archive mutations, and only reads `result`,
 /// so attaching a sink never perturbs the run.
@@ -246,6 +268,11 @@ DseResult run_nsga2_batch(const DesignSpace& space,
     }
   };
 
+  // The budget counter is the evaluation count: population individuals
+  // per generation, plus the initial population.
+  const ProgressCadence cadence(
+      options.population * (options.generations + 1), options.population);
+
   for (Genome& genome : pending) genome = space.random_genome(rng);
   runner.evaluate(pending);
   absorb_pending(population);
@@ -275,6 +302,7 @@ DseResult run_nsga2_batch(const DesignSpace& space,
     }
     runner.evaluate(pending);
     // Environmental selection over parents + offspring.
+    const std::size_t evaluations_before = result.evaluations;
     absorb_pending(population);
     ranker.rank(population);
     std::sort(population.begin(), population.end(),
@@ -282,7 +310,9 @@ DseResult run_nsga2_batch(const DesignSpace& space,
                 return better(a, b);
               });
     population.resize(options.population);
-    notify_progress(options.progress, gen + 1, result, watch);
+    if (cadence.due(evaluations_before, result.evaluations)) {
+      notify_progress(options.progress, gen + 1, result, watch);
+    }
   }
   result.wallclock_s = watch.elapsed_s();
   return result;
@@ -335,10 +365,11 @@ DseResult run_mosa_batch(const DesignSpace& space,
   std::vector<Proposal> proposals(width);
   std::vector<Genome> batch(width);
 
+  // The budget counter is the iteration count, one proposal per step.
+  const ProgressCadence cadence(options.iterations, 1);
   double temperature = options.initial_temperature;
   std::size_t it = 0;
-  std::size_t round = 0;
-  notify_progress(options.progress, round, result, watch);
+  notify_progress(options.progress, it, result, watch);
   while (it < options.iterations) {
     const std::size_t b_count = std::min(width, options.iterations - it);
     for (std::size_t b = 0; b < b_count; ++b) {
@@ -358,6 +389,11 @@ DseResult run_mosa_batch(const DesignSpace& space,
       const bool feasible = runner.book(b, p.genome, result);
       temperature *= options.cooling;
       ++it;
+      // `result` now holds exactly the sequential state after iteration
+      // `it`, so the snapshots are the same at every batch width.
+      if (cadence.due(it - 1, it)) {
+        notify_progress(options.progress, it, result, watch);
+      }
       if (!feasible) {
         // Sequential algorithm would not have drawn the acceptance
         // uniform: rewind and invalidate the rest of the batch.
@@ -391,7 +427,6 @@ DseResult run_mosa_batch(const DesignSpace& space,
       // Rejected with the uniform consumed — the speculation assumption
       // held; the next proposal in the batch is already valid.
     }
-    notify_progress(options.progress, ++round, result, watch);
   }
   result.wallclock_s = watch.elapsed_s();
   return result;

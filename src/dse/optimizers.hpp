@@ -33,13 +33,14 @@ struct DseResult {
   double wallclock_s = 0.0;          ///< wall-clock time of the run, seconds
 };
 
-/// Read-only view of a run's state handed to a ProgressSink once per
-/// generation (NSGA-II) or speculative batch round (MOSA). Everything in
-/// here is a copy except `archive`, which points at the live archive and is
-/// valid only for the duration of the callback.
+/// Read-only view of a run's state handed to a ProgressSink at each point
+/// of the snapshot cadence (see ProgressSink). Everything in here is a copy
+/// except `archive`, which points at the live archive and is valid only
+/// for the duration of the callback.
 struct ProgressSnapshot {
-  /// Generation (NSGA-II: 0 is the evaluated initial population) or MOSA
-  /// batch-round index.
+  /// NSGA-II: generation index (0 is the evaluated initial population).
+  /// MOSA: iterations completed (0 is the feasible start point); at
+  /// threads 1 this is also the index of the speculative batch round.
   std::size_t generation = 0;
   std::size_t evaluations = 0;  ///< objective calls issued so far
   std::size_t infeasible = 0;   ///< infeasible designs rejected so far
@@ -55,12 +56,21 @@ struct ProgressSnapshot {
   const ParetoArchive* archive = nullptr;
 };
 
-/// Per-generation observer. Strictly read-only: the optimizers invoke it
-/// outside all PRNG draws and archive mutations, so attaching a sink (or
-/// not) never changes results — archives stay byte-identical either way.
-/// The sink runs on the optimizer's thread; keep it cheap, and note that
-/// with an external pool several concurrent runs may each invoke their own
-/// sink from different threads.
+/// Convergence observer. The optimizers fire it on a cadence counted in
+/// their own budget: at the start, every
+/// `stride = max(population, budget / 64)` steps, and at the end. NSGA-II
+/// counts evaluations (budget population * (generations + 1)), so it fires
+/// after whole generations; MOSA counts iterations (population 1, budget
+/// `iterations`). A run thus fires at most 2 + budget / stride times — 61
+/// for the default NSGA-II, 66 for the default MOSA, never more than 129 —
+/// and which snapshots it delivers depends only on the options, never on
+/// threads or pool width.
+///
+/// Strictly read-only: the optimizers invoke it outside all PRNG draws and
+/// archive mutations, so attaching a sink (or not) never changes results —
+/// archives stay byte-identical either way. The sink runs on the
+/// optimizer's thread; with an external pool several concurrent runs may
+/// each invoke their own sink from different threads.
 using ProgressSink = std::function<void(const ProgressSnapshot&)>;
 
 /// Tuning knobs for run_nsga2(). All defaults reproduce the paper's setup
@@ -100,8 +110,10 @@ struct Nsga2Options {
   /// Results are unchanged either way; the pool must outlive the run.
   util::ThreadPool* pool = nullptr;
   /// Optional convergence observer, called after the initial population is
-  /// ranked (generation 0) and after every subsequent generation. See
-  /// ProgressSink for the no-perturbation contract.
+  /// ranked (generation 0) and after each generation whose evaluations
+  /// cross a cadence stride or end the run — every generation when
+  /// generations <= 63, as at the default budget. See ProgressSink for the
+  /// cadence and the no-perturbation contract.
   ProgressSink progress;
 };
 
@@ -151,9 +163,11 @@ struct MosaOptions {
   std::size_t threads = 0;
   /// Optional externally owned evaluation pool — see Nsga2Options::pool.
   util::ThreadPool* pool = nullptr;
-  /// Optional convergence observer, called once per speculative batch round
-  /// (so roughly every `threads` proposals; every proposal when serial).
-  /// See ProgressSink for the no-perturbation contract.
+  /// Optional convergence observer, called at the feasible start point
+  /// (generation 0), every max(1, iterations / 64) iterations and after
+  /// the last one — 66 times at the default budget — at exact iteration
+  /// counts inside the speculative replay, so the same snapshots arrive at
+  /// every thread count. See ProgressSink for the no-perturbation contract.
   ProgressSink progress;
 };
 

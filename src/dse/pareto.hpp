@@ -168,8 +168,8 @@ double coverage_fraction(const std::vector<Objectives>& candidate,
 double hypervolume(const std::vector<Objectives>& front,
                    const Objectives& reference_point);
 
-/// Reusable buffers for hypervolume3_flat() — the per-generation progress
-/// path calls it once per snapshot, and persistent scratch keeps that
+/// Reusable buffers for hypervolume3_flat() — the campaign progress sink
+/// calls it once per snapshot, and persistent scratch keeps that
 /// allocation-free after warm-up.
 struct Hypervolume3Scratch {
   std::vector<std::uint32_t> order;

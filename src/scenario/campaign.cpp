@@ -178,7 +178,7 @@ struct ConvergenceState {
   dse::Hypervolume3Scratch scratch;
 };
 
-/// Builds the per-generation convergence observer for one scenario: a
+/// Builds the convergence observer for one scenario: a
 /// progress.jsonl line (flushed, so the file tails live) and/or an event
 /// published into the campaign's ring. Returns an empty sink when both
 /// outputs are disabled. Strictly read-only w.r.t. the optimizer run.

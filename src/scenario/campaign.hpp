@@ -58,8 +58,8 @@ struct ScenarioRun {
 /// `pool` (campaign mode) runs the evaluation batches on an external
 /// shared pool instead of a run-private one; `cache` shares the app-layer
 /// table and MAC models across scenarios. Neither changes results.
-/// `progress`, when set, is attached to the optimizer as its per-generation
-/// convergence observer (dse::ProgressSink). Strictly read-only: results
+/// `progress`, when set, is attached to the optimizer as its convergence
+/// observer (dse::ProgressSink). Strictly read-only: results
 /// are byte-identical with or without it.
 ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick = false,
                          std::optional<std::size_t> threads_override = {},
@@ -130,11 +130,12 @@ struct CampaignOptions {
   /// no disk cache.
   std::string cache_dir;
   /// Convergence telemetry (`wsnex run`, default on; `--no-progress`
-  /// disables): each executed scenario streams a per-generation progress
-  /// record — evaluations, archive size, feasible count, ideal point,
-  /// hypervolume w.r.t. hv_reference_point() — to
+  /// disables): each executed scenario streams a progress record —
+  /// evaluations, archive size, feasible count, ideal point, hypervolume
+  /// w.r.t. hv_reference_point() — on the optimizer's snapshot cadence
+  /// (dse::ProgressSink: at most ~66 per run) to
   /// results/<name>/progress.jsonl, one JSON object per line, flushed per
-  /// generation so the file can be tailed live. Strictly observational:
+  /// record so the file can be tailed live. Strictly observational:
   /// pareto.csv/feasible.csv stay byte-identical either way (CI cmps this).
   bool progress = true;
   /// Optional event ring: scenario lifecycle and generation-progress

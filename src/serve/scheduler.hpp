@@ -181,8 +181,8 @@ class JobScheduler {
   /// completed scenarios); nullopt when the id is unknown.
   std::optional<util::Json> results(const std::string& id) const;
 
-  /// The job's event ring (lifecycle, unit progress, per-generation
-  /// convergence); nullptr when the id is unknown. The ring is shared-
+  /// The job's event ring (lifecycle, unit progress, convergence
+  /// snapshots); nullptr when the id is unknown. The ring is shared-
   /// owned: it stays valid (and terminal events stay readable) for the
   /// scheduler's lifetime, and readers never block publishers.
   std::shared_ptr<util::events::EventRing> events(const std::string& id) const;
@@ -220,8 +220,8 @@ class JobScheduler {
     std::vector<std::size_t> attempts;  ///< transient retries used per unit
     bool cancel_requested = false;
     bool fail_requested = false;
-    /// Bounded per-job event ring (job/unit lifecycle + per-generation
-    /// progress published by the campaign layer). Readers that fall
+    /// Bounded per-job event ring (job/unit lifecycle + convergence
+    /// snapshots published by the campaign layer). Readers that fall
     /// behind lose the oldest events, never block writers.
     std::shared_ptr<util::events::EventRing> events =
         std::make_shared<util::events::EventRing>(1024);

@@ -131,8 +131,13 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
   for (std::uint64_t seq = first; seq <= last; ++seq) {
     const Slot& slot = slots_[(seq - 1) & mask_];
     const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-    if (s1 != 2 * seq) {
-      // Slot no longer (or not yet) holds this sequence: lapped by a writer.
+    if (s1 < 2 * seq) {
+      // Claimed by publish() but not written yet: stop before it, so the
+      // next read resumes at this sequence instead of skipping it.
+      return seq - 1;
+    }
+    if (s1 > 2 * seq) {
+      // Lapped by a later writer: this sequence is gone for good.
       if (dropped != nullptr) ++*dropped;
       continue;
     }
@@ -162,6 +167,14 @@ std::uint64_t EventRing::overwritten() const {
   return last > slots_.size() ? last - slots_.size() : 0;
 }
 
+bool EventRing::published_after(std::uint64_t since) const {
+  if (next_.load(std::memory_order_acquire) <= since) return false;
+  // The slot of sequence since + 1 carries a stamp of at least 2*(since+1)
+  // once that event is written (or a later one has lapped it).
+  const Slot& slot = slots_[since & mask_];
+  return slot.stamp.load(std::memory_order_acquire) >= 2 * (since + 1);
+}
+
 bool EventRing::wait_for(std::uint64_t since, double timeout_s) const {
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -171,7 +184,7 @@ bool EventRing::wait_for(std::uint64_t since, double timeout_s) const {
   waiters_.fetch_add(1, std::memory_order_relaxed);
   bool ready = false;
   while (true) {
-    ready = last_seq() > since;
+    ready = published_after(since);
     if (ready) break;
     // Bounded slices so a publish that raced the waiter registration is
     // picked up on the next predicate check even without a notification.

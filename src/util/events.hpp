@@ -32,7 +32,7 @@
 namespace wsnex::util::events {
 
 /// Event taxonomy. Lifecycle events describe jobs/scenarios moving through
-/// the scheduler; `kGeneration` carries per-generation optimizer progress.
+/// the scheduler; `kGeneration` carries one optimizer progress snapshot.
 enum class Kind : std::uint8_t {
   kJobQueued = 0,
   kJobStarted,
@@ -94,10 +94,13 @@ class EventRing {
   std::uint64_t publish(Event event);
 
   /// Appends to `out` every retained event with sequence > `since`, in
-  /// ascending sequence order. `*dropped` (when provided) is set to the
-  /// number of events this call skipped because they were overwritten by
-  /// ring wrap or torn by a concurrent writer. Returns the new cursor: the
-  /// highest sequence observed, or `since` if nothing newer exists.
+  /// ascending sequence order, stopping before the first sequence that a
+  /// writer has claimed but not finished writing. `*dropped` (when
+  /// provided) is set to the number of events this call skipped because
+  /// they were overwritten by ring wrap or torn by a lapping writer.
+  /// Returns the new cursor: the sequence up to which events were
+  /// delivered or dropped (`since` if nothing newer is readable yet), so
+  /// feeding it back as `since` never skips an event.
   std::uint64_t read_since(std::uint64_t since, std::vector<Event>& out,
                            std::uint64_t* dropped = nullptr) const;
 
@@ -107,13 +110,17 @@ class EventRing {
   /// Number of events that have been overwritten by ring wrap so far.
   std::uint64_t overwritten() const;
 
-  /// Blocks until an event with sequence > `since` exists or `timeout_s`
-  /// elapses. Returns true if new events are available.
+  /// Blocks until the event with sequence `since + 1` is published (so a
+  /// read_since(since) makes progress) or `timeout_s` elapses. Returns
+  /// true if new events are available.
   bool wait_for(std::uint64_t since, double timeout_s) const;
 
   std::size_t capacity() const { return slots_.size(); }
 
  private:
+  /// True once the slot after `since` holds a written event.
+  bool published_after(std::uint64_t since) const;
+
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};  ///< 2*seq while valid, 2*seq-1 mid-write.
     std::atomic<std::uint64_t> words[(sizeof(Event) + 7) / 8];

@@ -2,10 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 
 namespace wsnex::util {
 
@@ -297,12 +299,20 @@ void dump_string(std::string& out, const std::string& s) {
 }  // namespace
 
 std::string format_double_shortest(double value) {
+  // to_chars(general, precision) is specified as printf's "%.*g" in the C
+  // locale and from_chars as strtod's pattern, so this is the snprintf /
+  // strtod loop byte for byte, without the format parsing and locale work.
   char buf[32];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    const std::from_chars_result parsed = std::from_chars(buf, end, back);
+    if (parsed.ec == std::errc() && back == value) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 JsonParseError::JsonParseError(const std::string& message, std::size_t line,

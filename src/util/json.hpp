@@ -22,8 +22,9 @@ namespace wsnex::util {
 
 /// Shortest decimal form of a finite double that parses back (strtod) to
 /// exactly the same value — tries 15, 16, then 17 significant digits (17
-/// always round-trips for IEEE 754 doubles). Shared by the JSON writer
-/// and the campaign CSV export so both emit identical, lossless numbers.
+/// always round-trips for IEEE 754 doubles), each printed exactly as
+/// printf's "%.*g" would. Shared by the JSON writer and the campaign CSV
+/// export so both emit identical, lossless numbers.
 std::string format_double_shortest(double value);
 
 /// Parse failure with the 1-based line/column of the offending input.

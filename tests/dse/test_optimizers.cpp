@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace wsnex::dse {
 namespace {
 
@@ -151,6 +153,98 @@ TEST(Optimizers, BaselineObjectiveHasTwoDimensions) {
   for (const auto& e : r.archive.entries()) {
     ASSERT_EQ(e.objectives.size(), 2u);
   }
+}
+
+/// The part of a snapshot that must be a pure function of the options.
+struct SnapshotRecord {
+  std::size_t generation = 0;
+  std::size_t evaluations = 0;
+  std::size_t archive_size = 0;
+  double hypervolume = 0.0;
+
+  bool operator==(const SnapshotRecord&) const = default;
+};
+
+ProgressSink recording_sink(std::vector<SnapshotRecord>& into) {
+  return [&into](const ProgressSnapshot& snap) {
+    into.push_back({snap.generation, snap.evaluations, snap.archive_size,
+                    hypervolume(*snap.archive, {1e4, 1e3, 1e3})});
+  };
+}
+
+void expect_strictly_increasing(const std::vector<SnapshotRecord>& records) {
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_GT(records[i].generation, records[i - 1].generation) << i;
+    EXPECT_GT(records[i].evaluations, records[i - 1].evaluations) << i;
+  }
+}
+
+TEST(ProgressSink, DefaultNsga2FiresOncePerGenerationAtAnyThreadCount) {
+  const DesignSpace space(DesignSpaceConfig::case_study());
+  const auto memo =
+      make_memoized_full_model_objective(shared_evaluator(), space, 4);
+  Nsga2Options opt;  // default budget: 64 x (60 + 1) evaluations
+  opt.threads = 1;
+  const DseResult silent = run_nsga2(space, *memo, opt);
+  std::vector<SnapshotRecord> serial, wide;
+  opt.progress = recording_sink(serial);
+  const DseResult observed = run_nsga2(space, *memo, opt);
+  opt.threads = 4;
+  opt.progress = recording_sink(wide);
+  (void)run_nsga2(space, *memo, opt);
+
+  // stride = max(64, 3904 / 64) = 64: the start plus every generation.
+  ASSERT_EQ(serial.size(), 61u);
+  EXPECT_EQ(serial.front().generation, 0u);
+  EXPECT_EQ(serial.front().evaluations, 64u);
+  EXPECT_EQ(serial.back().generation, 60u);
+  EXPECT_EQ(serial.back().evaluations, observed.evaluations);
+  expect_strictly_increasing(serial);
+  EXPECT_EQ(serial, wide);
+  EXPECT_EQ(silent.evaluations, observed.evaluations);
+  EXPECT_TRUE(same_entries(silent.archive, observed.archive));
+}
+
+TEST(ProgressSink, DefaultMosaFiresOnIterationCadenceAtAnyThreadCount) {
+  const DesignSpace space(DesignSpaceConfig::case_study());
+  const auto memo =
+      make_memoized_full_model_objective(shared_evaluator(), space, 4);
+  MosaOptions opt;  // default budget: 4000 iterations
+  opt.threads = 1;
+  const DseResult silent = run_mosa(space, *memo, opt);
+  std::vector<SnapshotRecord> serial, wide;
+  opt.progress = recording_sink(serial);
+  const DseResult observed = run_mosa(space, *memo, opt);
+  opt.threads = 4;
+  opt.progress = recording_sink(wide);
+  (void)run_mosa(space, *memo, opt);
+
+  // stride = max(1, 4000 / 64) = 62: iteration 0, 62, ..., 3968, 4000.
+  ASSERT_EQ(serial.size(), 66u);
+  for (std::size_t i = 0; i + 1 < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].generation, 62u * i);
+  }
+  EXPECT_EQ(serial.back().generation, 4000u);
+  EXPECT_EQ(serial.back().evaluations, observed.evaluations);
+  expect_strictly_increasing(serial);
+  EXPECT_EQ(serial, wide);
+  EXPECT_EQ(silent.evaluations, observed.evaluations);
+  EXPECT_TRUE(same_entries(silent.archive, observed.archive));
+}
+
+TEST(ProgressSink, LargeNsga2BudgetStaysNearSixtyFourSnapshots) {
+  const DesignSpace space(tiny_space_config());
+  const auto fn = make_full_model_objective(shared_evaluator());
+  Nsga2Options opt;
+  opt.population = 16;
+  opt.generations = 100;  // budget 1616: stride max(16, 25) = 25
+  std::vector<SnapshotRecord> records;
+  opt.progress = recording_sink(records);
+  const DseResult r = run_nsga2(space, fn, opt);
+  // The start, the 64 generations that cross a multiple of 25, the end.
+  EXPECT_EQ(records.size(), 66u);
+  EXPECT_EQ(records.back().evaluations, r.evaluations);
+  expect_strictly_increasing(records);
 }
 
 TEST(Optimizers, CountingObjectiveCounts) {

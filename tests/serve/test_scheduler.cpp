@@ -423,7 +423,9 @@ TEST_F(SchedulerTest, DeadlineExceededFailsTheJob) {
   JobScheduler scheduler(o);
   JobSpec spec =
       validation_job("rushed", {"hospital_ward_2", "hospital_ward_3"});
-  spec.deadline_s = 0.01;  // far below one unit's runtime
+  // Far below any unit's runtime: a warm two-second single-replicate
+  // validation finishes in a few milliseconds.
+  spec.deadline_s = 1e-6;
   ASSERT_EQ(scheduler.submit(spec).code,
             JobScheduler::Admission::Code::kAccepted);
   ASSERT_EQ(scheduler.submit(validation_job("calm", {"hospital_ward_2"})).code,
@@ -523,6 +525,41 @@ TEST_F(SchedulerTest, EventRingRecordsTheWholeJobLifecycle) {
   EXPECT_EQ(dropped, 0u);
   ASSERT_EQ(tail.size(), events.size() - 3);
   EXPECT_EQ(tail.front().seq, events[3].seq);
+}
+
+TEST_F(SchedulerTest, FullBudgetMosaJobKeepsItsLifecycleInTheRing) {
+  JobScheduler scheduler(options());
+  JobSpec spec;
+  spec.id = "annealed";
+  spec.kind = JobKind::kCampaign;
+  spec.scenarios.push_back(scenario::preset("relaxed_quality_mosa_6"));
+  ASSERT_EQ(spec.scenarios.front().optimizer.iterations, 4000u);
+  ASSERT_EQ(scheduler.submit(spec).code,
+            JobScheduler::Admission::Code::kAccepted);
+  scheduler.start();
+  EXPECT_EQ(wait_terminal(scheduler, "annealed").state, JobState::kComplete);
+
+  // 4000 iterations publish 66 generation events, so a late replay from
+  // the start of the 1024-slot ring still sees the whole lifecycle.
+  const auto ring = scheduler.events("annealed");
+  ASSERT_NE(ring, nullptr);
+  std::vector<util::events::Event> events;
+  std::uint64_t dropped = 1;
+  ring->read_since(0, events, &dropped);
+  EXPECT_EQ(dropped, 0u);
+  const auto count_kind = [&](util::events::Kind kind) {
+    std::size_t n = 0;
+    for (const auto& event : events) {
+      if (event.kind == kind) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count_kind(util::events::Kind::kJobQueued), 1u);
+  EXPECT_EQ(count_kind(util::events::Kind::kJobStarted), 1u);
+  EXPECT_EQ(count_kind(util::events::Kind::kUnitStarted), 1u);
+  EXPECT_EQ(count_kind(util::events::Kind::kScenarioStarted), 1u);
+  EXPECT_EQ(count_kind(util::events::Kind::kGeneration), 66u);
+  EXPECT_EQ(count_kind(util::events::Kind::kJobFinished), 1u);
 }
 
 TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {

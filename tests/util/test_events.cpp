@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <string>
@@ -158,6 +159,69 @@ TEST(EventRingTest, ConcurrentWritersNeverSurfaceTornEvents) {
   EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(ring.last_seq(),
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
+}
+
+// A reader that feeds each returned cursor back as `since` must receive
+// every event exactly once while writers publish concurrently: a slot that
+// publish() has claimed but not yet written is waited for, never skipped.
+// The ring holds the whole round, so nothing may count as dropped either.
+// A round meets a claimed-but-unwritten slot only when a writer is
+// descheduled inside publish(), so the race gets many fresh rings.
+TEST(EventRingTest, CursorFollowerGetsEverySequenceExactlyOnce) {
+  constexpr int kRounds = 64;
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 2000;
+  constexpr std::uint64_t kTotal =
+      static_cast<std::uint64_t>(kWriters) * kPerWriter;
+  for (int round = 0; round < kRounds; ++round) {
+    EventRing ring(kTotal);  // rounds up past kTotal: no wrap
+    std::atomic<bool> start{false};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&ring, &start] {
+        while (!start.load()) {
+        }
+        for (int i = 0; i < kPerWriter; ++i) {
+          ring.publish(make_event(Kind::kGeneration, "j", "s", ""));
+        }
+      });
+    }
+
+    std::vector<int> deliveries(kTotal + 1, 0);
+    std::uint64_t dropped_total = 0;
+    std::uint64_t cursor = 0;
+    std::vector<Event> out;
+    start.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (cursor < kTotal && std::chrono::steady_clock::now() < deadline) {
+      out.clear();
+      std::uint64_t dropped = 0;
+      const std::uint64_t next = ring.read_since(cursor, out, &dropped);
+      dropped_total += dropped;
+      EXPECT_GE(next, cursor);
+      for (const Event& event : out) {
+        // EXPECT, not ASSERT: the writers must still be joined below.
+        if (event.seq <= cursor || event.seq > next) {
+          ADD_FAILURE() << "seq " << event.seq << " outside (" << cursor
+                        << ", " << next << "]";
+          continue;
+        }
+        ++deliveries[event.seq];
+      }
+      if (out.empty()) ring.wait_for(next, 0.01);
+      cursor = next;
+    }
+    for (auto& thread : writers) thread.join();
+
+    EXPECT_EQ(cursor, kTotal) << "round " << round;
+    EXPECT_EQ(dropped_total, 0u) << "round " << round;
+    std::uint64_t once = 0;
+    for (std::uint64_t seq = 1; seq <= kTotal; ++seq) {
+      if (deliveries[seq] == 1) ++once;
+    }
+    EXPECT_EQ(once, kTotal) << "round " << round;
+  }
 }
 
 TEST(EventRingTest, WaitForReturnsOnPublishAndOnTimeout) {

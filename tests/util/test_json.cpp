@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace wsnex::util {
 namespace {
@@ -150,6 +156,73 @@ TEST(Json, NonFiniteNumbersRefuseToDump) {
   EXPECT_THROW(Json(std::nan("")).dump(), std::invalid_argument);
   EXPECT_THROW(Json(std::numeric_limits<double>::infinity()).dump(),
                std::invalid_argument);
+}
+
+/// The snprintf/strtod loop format_double_shortest must reproduce byte for
+/// byte: every persisted number (progress records, CSV rows, summaries,
+/// validation files, cache keys) goes through it.
+std::string reference_shortest(double value) {
+  char buf[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+TEST(FormatDoubleShortest, MatchesPrintfReferenceOnAMillionDoubles) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::epsilon(),
+      0.1,
+      1.0 / 3.0,
+      1e15,
+      1e16,
+      1e17,
+      123456789012345678.0,
+  };
+  std::mt19937_64 rng(20121);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-320, 308);
+  constexpr int kPerFamily = 350000;
+  for (int i = 0; i < kPerFamily; ++i) {
+    // Arbitrary bit patterns: every exponent, sign and NaN payload.
+    values.push_back(std::bit_cast<double>(rng()));
+    // Uniforms scaled across the decimal range, the shape of model output.
+    values.push_back(unit(rng) * std::pow(10.0, exponent(rng)));
+    // Subnormals: only the low 52 bits set.
+    const double sub =
+        std::bit_cast<double>(rng() & ((std::uint64_t{1} << 52) - 1));
+    values.push_back(i % 2 == 0 ? sub : -sub);
+  }
+  // Exact decimal ties at 16 and 17 significant digits (k + 0.5 with a
+  // 16-digit k), where printf rounds half to even.
+  for (std::uint64_t k = 1000000000000000; k < 1000000000000000 + 2000; ++k) {
+    values.push_back(static_cast<double>(k) + 0.5);
+  }
+  ASSERT_GE(values.size(), 1000000u);
+
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = format_double_shortest(v);
+    const std::string want = reference_shortest(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "value bits " << std::hex
+                    << std::bit_cast<std::uint64_t>(v) << ": got " << got
+                    << ", printf " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, TypeErrorsNameTheActualType) {

@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "dsp/prd_calibration.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/result_store.hpp"
@@ -81,10 +82,11 @@ int usage(std::FILE* to) {
                "  wsnex watch DIR | wsnex watch --port N JOB_ID\n"
                "  wsnex export <preset>... -o DIR\n"
                "  wsnex simulate <spec.json|preset> [--duration S] "
-               "[--seed N]\n"
+               "[--seed N] [--cache-dir DIR]\n"
                "  wsnex validate <spec.json|preset>... [-o DIR] "
                "[--replicates N] [--jobs J]\n"
-               "                 [--tolerance PCT] [--duration S] [--seed N]\n"
+               "                 [--tolerance PCT] [--duration S] [--seed N] "
+               "[--cache-dir DIR]\n"
                "  wsnex serve --data DIR [--port N] [--slots N] [--threads N] "
                "[--max-queued N]\n"
                "              [--cache-dir DIR] [--port-file PATH] "
@@ -145,7 +147,7 @@ int usage(std::FILE* to) {
                "scenario's\n"
                "                    progress.jsonl (final HV, time to "
                "50/90/99%% of it)\n"
-               "      --no-progress run/resume: skip the per-generation "
+               "      --no-progress run/resume: skip the convergence "
                "progress.jsonl\n"
                "                    telemetry (archives are byte-identical "
                "either way)\n"
@@ -429,6 +431,17 @@ CommonFlags parse_flags(const std::vector<std::string>& args) {
   return flags;
 }
 
+/// Points the PRD calibration at the `--cache-dir` warm cache, as
+/// drive_campaign does for `run`; call before the first model is built.
+void use_prd_cache_dir(const CommonFlags& flags) {
+  if (!flags.cache_dir.empty() &&
+      !dsp::set_default_prd_cache_dir(flags.cache_dir)) {
+    std::fprintf(stderr,
+                 "--cache-dir ignored: the PRD calibration was already "
+                 "computed\n");
+  }
+}
+
 /// Scopes a --trace capture to one campaign run; the file is written even
 /// when the campaign throws (the trace of a failed run is the one you
 /// want). Inactive (and free) when no path was given — WSNEX_TRACE
@@ -571,6 +584,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
                  "(one replay, nothing persisted — use `wsnex validate` for "
                  "replicated, persisted runs)\n");
   }
+  use_prd_cache_dir(flags);
   const scenario::ScenarioSpec spec = load_spec_arg(flags.positional.front());
   const auto evaluator =
       model::NetworkModelEvaluator::make_default(spec.evaluator_options());
@@ -671,6 +685,7 @@ int cmd_validate(const std::vector<std::string>& args) {
     std::fprintf(stderr, "validate: no scenarios given (try `wsnex list`)\n");
     return 2;
   }
+  use_prd_cache_dir(flags);
   std::optional<scenario::ResultStore> store;
   if (!flags.out_dir.empty()) store.emplace(flags.out_dir);
   int failures = 0;
