@@ -19,7 +19,8 @@ int main() {
 
   const auto evaluator = model::NetworkModelEvaluator::make_default();
   const DesignSpace space(DesignSpaceConfig::case_study());
-  const auto fn = make_full_model_objective(evaluator);
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(evaluator));
 
   // Equal budget of ~5k evaluations for every optimizer.
   constexpr std::size_t kBudget = 5120;
@@ -40,17 +41,17 @@ int main() {
   ga.population = 64;
   ga.generations = kBudget / 64 - 1;
   ga.seed = 3;
-  report("NSGA-II", run_nsga2(space, fn, ga));
+  report("NSGA-II", run_nsga2(space, *fn, ga));
 
   MosaOptions sa;
   sa.iterations = kBudget - 1;
   sa.seed = 3;
-  report("MOSA", run_mosa(space, fn, sa));
+  report("MOSA", run_mosa(space, *fn, sa));
 
   RandomSearchOptions rs;
   rs.samples = kBudget;
   rs.seed = 3;
-  report("random", run_random_search(space, fn, rs));
+  report("random", run_random_search(space, *fn, rs));
 
   std::printf("%s\n", table.render().c_str());
   std::printf(

@@ -24,12 +24,13 @@ int main() {
     model::EvaluatorOptions options;
     options.theta = theta;
     const auto evaluator = model::NetworkModelEvaluator::make_default(options);
-    const auto fn = make_full_model_objective(evaluator);
+    const auto fn =
+        make_batch_adapter(space, make_full_model_objective(evaluator));
     Nsga2Options opt;
     opt.population = 64;
     opt.generations = 40;
     opt.seed = 11;
-    const DseResult result = run_nsga2(space, fn, opt);
+    const DseResult result = run_nsga2(space, *fn, opt);
 
     // Pick the minimum-energy member of the front and inspect its balance.
     const ArchiveEntry* best = nullptr;

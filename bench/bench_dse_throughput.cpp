@@ -184,19 +184,19 @@ struct SweepRow {
 SweepRow run_nsga2_config(const std::string& objective, std::size_t threads,
                           std::size_t population, int reps) {
   SweepRow row{"nsga2", objective, threads, population, 0, 0.0};
-  const auto scalar = dse::make_full_model_objective(evaluator());
-  const auto memo = objective == "memoized-batch"
-                        ? dse::make_memoized_full_model_objective(
-                              evaluator(), case_space(), threads)
-                        : nullptr;
+  const auto fn = objective == "memoized-batch"
+                      ? dse::make_memoized_full_model_objective(
+                            evaluator(), case_space(), threads)
+                      : dse::make_batch_adapter(
+                            case_space(),
+                            dse::make_full_model_objective(evaluator()),
+                            threads);
   dse::Nsga2Options opt;
   opt.population = population;
   opt.generations = 4000 / population;
   opt.threads = threads;
   for (int r = 0; r < reps; ++r) {
-    const dse::DseResult res =
-        memo ? dse::run_nsga2(case_space(), *memo, opt)
-             : dse::run_nsga2(case_space(), scalar, opt);
+    const dse::DseResult res = dse::run_nsga2(case_space(), *fn, opt);
     row.evaluations = res.evaluations;
     const double rate =
         static_cast<double>(res.evaluations) / res.wallclock_s;
@@ -208,18 +208,18 @@ SweepRow run_nsga2_config(const std::string& objective, std::size_t threads,
 SweepRow run_mosa_config(const std::string& objective, std::size_t threads,
                          int reps) {
   SweepRow row{"mosa", objective, threads, 0, 0, 0.0};
-  const auto scalar = dse::make_full_model_objective(evaluator());
-  const auto memo = objective == "memoized-batch"
-                        ? dse::make_memoized_full_model_objective(
-                              evaluator(), case_space(), threads)
-                        : nullptr;
+  const auto fn = objective == "memoized-batch"
+                      ? dse::make_memoized_full_model_objective(
+                            evaluator(), case_space(), threads)
+                      : dse::make_batch_adapter(
+                            case_space(),
+                            dse::make_full_model_objective(evaluator()),
+                            threads);
   dse::MosaOptions opt;
   opt.iterations = 4000;
   opt.threads = threads;
   for (int r = 0; r < reps; ++r) {
-    const dse::DseResult res =
-        memo ? dse::run_mosa(case_space(), *memo, opt)
-             : dse::run_mosa(case_space(), scalar, opt);
+    const dse::DseResult res = dse::run_mosa(case_space(), *fn, opt);
     row.evaluations = res.evaluations;
     const double rate =
         static_cast<double>(res.evaluations) / res.wallclock_s;

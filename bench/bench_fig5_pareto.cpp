@@ -33,8 +33,10 @@ int main() {
   opt.population = 80;
   opt.generations = 80;
   opt.seed = 7;
-  const DseResult full = run_nsga2(space, full_fn, opt);
-  const DseResult base = run_nsga2(space, base_fn, opt);
+  const DseResult full =
+      run_nsga2(space, *make_batch_adapter(space, full_fn), opt);
+  const DseResult base =
+      run_nsga2(space, *make_batch_adapter(space, base_fn), opt);
 
   // Re-score the baseline front under the full model and keep the points
   // that remain non-dominated against the full front.

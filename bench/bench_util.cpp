@@ -58,7 +58,6 @@ util::Json provenance() {
   out.set("detected_isa", util::simd::isa_name(util::simd::detected_isa()));
   out.set("active_isa", util::simd::isa_name(util::simd::active_isa()));
   out.set("forced_scalar_env", util::simd::scalar_forced_by_env());
-  out.set("simd_reassociation", util::simd::reassociation_enabled());
   out.set("hardware_threads",
           static_cast<std::size_t>(std::thread::hardware_concurrency()));
 #if defined(WSNEX_METRICS_DISABLED)

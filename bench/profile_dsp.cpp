@@ -7,10 +7,9 @@
 //
 // Each workload runs once per ISA via util::simd::set_active_isa() —
 // scalar first (the reference), then the detected vector ISA when there
-// is one. The order-preserving kernel contract means every ISA produces
-// byte-identical results, so the numbers differ while the outputs do not;
-// the reassociation-gated reduction rows are the one exception and are
-// marked as such. JSON rows carry seconds (best of N) plus the
+// is one. The bit-identity kernel contract means every ISA produces
+// byte-identical results, so the numbers differ while the outputs do not.
+// JSON rows carry seconds (best of N) plus the
 // speedup-vs-scalar ratio per ISA; the committed BENCH_*.json files at
 // the repo root embed numbers measured by this driver.
 #include <cstdio>
@@ -52,7 +51,6 @@ std::vector<std::vector<double>> make_windows(std::size_t count,
 struct Timed {
   std::string name;
   std::string note;
-  bool reassociation = false;  ///< row used the reassociating reductions
   std::function<void()> body;
 };
 
@@ -76,7 +74,6 @@ util::Json row_json(const Timed& t, const std::vector<simd::Isa>& isas,
   util::Json row = util::Json::object();
   row.set("name", t.name);
   row.set("note", t.note);
-  if (t.reassociation) row.set("reassociation", true);
   util::Json per_isa = util::Json::object();
   util::Json speedup = util::Json::object();
   for (std::size_t i = 0; i < isas.size(); ++i) {
@@ -129,12 +126,12 @@ int main(int argc, char** argv) {
 
   std::vector<Timed> workloads;
   workloads.push_back(
-      {"calibration_cs", "calibrate_cs (fresh codec per rep)", false, [&] {
+      {"calibration_cs", "calibrate_cs (fresh codec per rep)", [&] {
          dsp::CsCodecConfig cs;
          (void)dsp::calibrate_cs(cs, calib);
        }});
   workloads.push_back(
-      {"calibration_dwt", "calibrate_dwt (fresh codec per rep)", false, [&] {
+      {"calibration_dwt", "calibrate_dwt (fresh codec per rep)", [&] {
          dsp::DwtCodecConfig dwt;
          (void)dsp::calibrate_dwt(dwt, calib);
        }});
@@ -146,7 +143,6 @@ int main(int argc, char** argv) {
   workloads.push_back({"cs_round_trip_fista",
                        "encode+FISTA decode, " + std::to_string(rt_windows) +
                            " windows at CR 0.29",
-                       false,
                        [&] { (void)fista_codec.round_trip_windows(windows, rt_cr); }});
   dsp::CsCodecConfig omp_cfg;
   omp_cfg.decoder = dsp::CsDecoder::kOmp;
@@ -154,14 +150,13 @@ int main(int argc, char** argv) {
   workloads.push_back({"cs_round_trip_omp",
                        "encode+OMP decode, " + std::to_string(rt_windows) +
                            " windows at CR 0.29",
-                       false,
                        [&] { (void)omp_codec.round_trip_windows(windows, rt_cr); }});
   const dsp::WaveletTransform dwt_transform(dsp::WaveletKind::kDb4, 5);
   const std::size_t dwt_iters = quick ? 200 : 2000;
   workloads.push_back({"dwt_round_trip",
                        "db4/5-level forward+inverse x" +
                            std::to_string(dwt_iters),
-                       false, [&] {
+                       [&] {
                          for (std::size_t i = 0; i < dwt_iters; ++i) {
                            (void)dwt_transform.inverse(
                                dwt_transform.forward(windows[i % windows.size()]));
@@ -185,7 +180,7 @@ int main(int argc, char** argv) {
 
   std::vector<Timed> kernels;
   kernels.push_back({"gemv_transposed_packed",
-                     "70x256 packed panels x" + std::to_string(kiters), false,
+                     "70x256 packed panels x" + std::to_string(kiters),
                      [&] {
                        for (std::size_t i = 0; i < kiters; ++i) {
                          packed.transposed(xm, out_n);
@@ -193,7 +188,7 @@ int main(int argc, char** argv) {
                      }});
   kernels.push_back({"gemv_accumulate",
                      "70x256 column accumulation x" + std::to_string(kiters),
-                     false, [&] {
+                     [&] {
                        for (std::size_t i = 0; i < kiters; ++i) {
                          simd::gemv_accumulate(mat, km, kn, xn, acc_m,
                                                /*skip_zeros=*/false);
@@ -201,7 +196,7 @@ int main(int argc, char** argv) {
                      }});
   kernels.push_back({"fista_shrink+momentum", "n=256 element steps x" +
                                                   std::to_string(kiters),
-                     false, [&] {
+                     [&] {
                        for (std::size_t i = 0; i < kiters; ++i) {
                          simd::fista_shrink(zn, xn, 0.25, 0.1, out_n);
                          simd::fista_momentum(out_n, yn, 0.4, zn);
@@ -219,27 +214,18 @@ int main(int argc, char** argv) {
   }
   kernels.push_back({"dwt_analyze", "n=256 db4 analysis x" +
                                         std::to_string(kiters),
-                     false, [&] {
+                     [&] {
                        for (std::size_t i = 0; i < kiters; ++i) {
                          simd::dwt_analyze(xn, lp, hp, half_a, half_d);
                        }
                      }});
   kernels.push_back({"dwt_synthesize", "n=256 db4 synthesis x" +
                                            std::to_string(kiters),
-                     false, [&] {
+                     [&] {
                        for (std::size_t i = 0; i < kiters; ++i) {
                          simd::dwt_synthesize(half_a, half_d, lp, hp, synth);
                        }
                      }});
-  kernels.push_back(
-      {"sum_sq_diff(reassoc)",
-       "n=256 energy reduction x" + std::to_string(kiters) +
-           ", WSNEX_SIMD_REASSOC semantics",
-       true, [&] {
-         for (std::size_t i = 0; i < kiters; ++i) {
-           (void)simd::sum_sq_diff(xn, yn);
-         }
-       }});
 
   // --- Run + emit. ------------------------------------------------------
   util::Json out = util::Json::object();
@@ -265,10 +251,7 @@ int main(int argc, char** argv) {
   util::Json kernel_rows = util::Json::array();
   std::fprintf(stderr, "--- kernels ---\n");
   for (const Timed& t : kernels) {
-    const bool prev_reassoc = simd::reassociation_enabled();
-    if (t.reassociation) simd::set_reassociation(true);
     const std::vector<double> seconds = time_per_isa(isas, reps, t.body);
-    simd::set_reassociation(prev_reassoc);
     report(t, isas, seconds);
     kernel_rows.push_back(row_json(t, isas, seconds));
   }

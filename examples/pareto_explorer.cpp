@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   const auto evaluator = model::NetworkModelEvaluator::make_default();
   const DesignSpace space(DesignSpaceConfig::case_study());
-  const auto objective = make_full_model_objective(evaluator);
+  const auto objective = make_memoized_full_model_objective(evaluator, space);
 
   Nsga2Options opt;
   opt.population = 96;
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   opt.seed = 42;
   std::printf("running NSGA-II (%zu x %zu) over %.3g configurations...\n",
               opt.population, opt.generations, space.cardinality());
-  const DseResult result = run_nsga2(space, objective, opt);
+  const DseResult result = run_nsga2(space, *objective, opt);
   std::printf("%zu evaluations in %.2f s (%.0f evals/s), front size %zu\n",
               result.evaluations, result.wallclock_s,
               static_cast<double>(result.evaluations) /

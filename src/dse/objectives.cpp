@@ -135,9 +135,9 @@ class MemoizedFullModelObjective final : public BatchObjectiveFunction {
 /// Decode-and-forward adapter from the scalar API.
 class ScalarBatchAdapter final : public BatchObjectiveFunction {
  public:
-  ScalarBatchAdapter(const DesignSpace& space, const ObjectiveFunction& fn,
+  ScalarBatchAdapter(const DesignSpace& space, ObjectiveFunction fn,
                      std::size_t worker_slots)
-      : space_(&space), fn_(&fn),
+      : space_(&space), fn_(std::move(fn)),
         worker_slots_(worker_slots == 0 ? 1 : worker_slots) {}
 
   std::size_t arity() const override { return kMaxObjectives; }
@@ -145,7 +145,7 @@ class ScalarBatchAdapter final : public BatchObjectiveFunction {
 
   std::size_t evaluate(const Genome& genome, std::span<double> out,
                        std::size_t /*worker*/) const override {
-    const std::optional<Objectives> obj = (*fn_)(space_->decode(genome));
+    const std::optional<Objectives> obj = fn_(space_->decode(genome));
     if (!obj) return 0;
     if (obj->size() > out.size() || obj->empty()) {
       throw std::length_error(
@@ -159,7 +159,7 @@ class ScalarBatchAdapter final : public BatchObjectiveFunction {
 
  private:
   const DesignSpace* space_;
-  const ObjectiveFunction* fn_;
+  ObjectiveFunction fn_;
   std::size_t worker_slots_;
 };
 

@@ -1,18 +1,19 @@
 // Objective adapters: design -> objective vector.
 //
-// Two evaluation surfaces coexist:
-//  * the scalar ObjectiveFunction (design -> optional objective vector),
-//    the original one-design-at-a-time API, and
-//  * BatchObjectiveFunction, the DSE hot-path API: genome-indexed,
-//    allocation-free after warm-up, and evaluable from multiple worker
-//    threads at once (one scratch slot per worker).
+// The optimizers evaluate through one surface, BatchObjectiveFunction:
+// genome-indexed, allocation-free after warm-up, and evaluable from
+// multiple worker threads at once (one scratch slot per worker). The
+// scalar ObjectiveFunction (design -> optional objective vector) remains
+// the reference form: make_full_model_objective is the oracle the
+// memoized objective is tested against and the input of run_exhaustive,
+// and make_batch_adapter lifts any ObjectiveFunction onto the batch
+// surface.
 // evaluate_genome_batch() fans a genome batch across a util::ThreadPool
 // with index-ordered result placement, so the outcome of a batch is
 // independent of the worker count — the foundation of the optimizers'
 // threads=1 vs threads=N determinism guarantee.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,10 +34,10 @@ class SharedEvalCache;  // eval_cache.hpp — optional cross-scenario cache
 using Objectives = std::vector<double>;
 
 /// Evaluation callback: returns the (minimization) objective vector for a
-/// design, or nullopt when the design is infeasible. The batch engine
-/// behind run_nsga2/run_mosa stores objectives inline, so vectors are
-/// limited to kMaxObjectives components (the paper uses 3); longer ones
-/// raise std::length_error on first evaluation.
+/// design, or nullopt when the design is infeasible. Through
+/// make_batch_adapter the optimizers store objectives inline, so vectors
+/// are limited to kMaxObjectives components (the paper uses 3); longer
+/// ones raise std::length_error on first evaluation.
 using ObjectiveFunction =
     std::function<std::optional<Objectives>(const model::NetworkDesign&)>;
 
@@ -103,10 +104,10 @@ std::unique_ptr<BatchObjectiveFunction> make_memoized_full_model_objective(
     std::size_t worker_slots = 1, SharedEvalCache* cache = nullptr);
 
 /// Adapts a scalar ObjectiveFunction to the batch interface by decoding
-/// each genome and forwarding. With more than one worker slot the wrapped
-/// function is called from multiple threads at once and must be
-/// thread-safe (the model-backed objectives above are; beware of stateful
-/// lambdas).
+/// each genome and forwarding. The adapter keeps a copy of `fn`; `space`
+/// must outlive it. With more than one worker slot the wrapped function
+/// is called from multiple threads at once and must be thread-safe (the
+/// model-backed objectives above are; beware of stateful lambdas).
 std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
     const DesignSpace& space, const ObjectiveFunction& fn,
     std::size_t worker_slots = 1);
@@ -122,24 +123,5 @@ void evaluate_genome_batch(const BatchObjectiveFunction& fn,
                            std::span<const Genome> genomes,
                            std::span<double> values,
                            std::span<std::uint8_t> counts);
-
-/// Counts evaluations (shared by the DSE throughput accounting).
-/// Thread-safe: the counter is atomic, so the wrapped function may be
-/// driven through a multi-threaded batch adapter (the wrapped fn itself
-/// must then be thread-safe too).
-class CountingObjective {
- public:
-  explicit CountingObjective(ObjectiveFunction fn) : fn_(std::move(fn)) {}
-
-  std::optional<Objectives> operator()(const model::NetworkDesign& d) const {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    return fn_(d);
-  }
-  std::size_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  ObjectiveFunction fn_;
-  mutable std::atomic<std::size_t> count_ = 0;
-};
 
 }  // namespace wsnex::dse

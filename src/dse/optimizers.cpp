@@ -3,30 +3,17 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "util/clock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wsnex::dse {
 namespace {
-
-class Stopwatch {
- public:
-  double elapsed_s() const {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-};
 
 /// Population member. Objectives live inline (no per-individual heap
 /// vector): obj_count == 0 marks infeasibility, mirroring the former
@@ -210,7 +197,7 @@ class ProgressCadence {
 /// outside all PRNG draws and archive mutations, and only reads `result`,
 /// so attaching a sink never perturbs the run.
 void notify_progress(const ProgressSink& sink, std::size_t generation,
-                     const DseResult& result, const Stopwatch& watch) {
+                     const DseResult& result, const util::Stopwatch& watch) {
   if (!sink) return;
   ProgressSnapshot snap;
   snap.generation = generation;
@@ -235,13 +222,14 @@ void notify_progress(const ProgressSink& sink, std::size_t generation,
   sink(snap);
 }
 
-DseResult run_nsga2_batch(const DesignSpace& space,
-                          const BatchObjectiveFunction& fn,
-                          const Nsga2Options& options) {
+}  // namespace
+
+DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
+                    const Nsga2Options& options) {
   if (options.population < 4) {
     throw std::invalid_argument("run_nsga2: population must be >= 4");
   }
-  const Stopwatch watch;
+  const util::Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
   BatchRunner runner(fn, options.threads, options.pool);
@@ -318,10 +306,9 @@ DseResult run_nsga2_batch(const DesignSpace& space,
   return result;
 }
 
-DseResult run_mosa_batch(const DesignSpace& space,
-                         const BatchObjectiveFunction& fn,
-                         const MosaOptions& options) {
-  const Stopwatch watch;
+DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,
+                   const MosaOptions& options) {
+  const util::Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
   BatchRunner runner(fn, options.threads, options.pool);
@@ -432,62 +419,18 @@ DseResult run_mosa_batch(const DesignSpace& space,
   return result;
 }
 
-}  // namespace
-
-namespace {
-
-/// The scalar entry points cannot assume the wrapped std::function is
-/// thread-safe (that contract predates the batch engine), so threads = 0
-/// means "inline" there instead of "hardware concurrency"; callers opt
-/// into parallel scalar evaluation by setting threads explicitly.
-std::size_t scalar_threads(std::size_t threads) {
-  return threads == 0 ? 1 : threads;
-}
-
-}  // namespace
-
-DseResult run_nsga2(const DesignSpace& space, const ObjectiveFunction& fn,
-                    const Nsga2Options& options) {
-  Nsga2Options serial_default = options;
-  serial_default.threads = scalar_threads(options.threads);
-  const auto batch = make_batch_adapter(space, fn, serial_default.threads);
-  return run_nsga2_batch(space, *batch, serial_default);
-}
-
-DseResult run_nsga2(const DesignSpace& space,
-                    const BatchObjectiveFunction& fn,
-                    const Nsga2Options& options) {
-  return run_nsga2_batch(space, fn, options);
-}
-
-DseResult run_mosa(const DesignSpace& space, const ObjectiveFunction& fn,
-                   const MosaOptions& options) {
-  MosaOptions serial_default = options;
-  serial_default.threads = scalar_threads(options.threads);
-  const auto batch = make_batch_adapter(space, fn, serial_default.threads);
-  return run_mosa_batch(space, *batch, serial_default);
-}
-
-DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,
-                   const MosaOptions& options) {
-  return run_mosa_batch(space, fn, options);
-}
-
 DseResult run_random_search(const DesignSpace& space,
-                            const ObjectiveFunction& fn,
+                            const BatchObjectiveFunction& fn,
                             const RandomSearchOptions& options) {
-  const Stopwatch watch;
+  const util::Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
+  BatchRunner runner(fn, 1, nullptr);
+  std::vector<Genome> single(1);
   for (std::size_t i = 0; i < options.samples; ++i) {
-    const Genome genome = space.random_genome(rng);
-    const auto obj = fn(space.decode(genome));
-    ++result.evaluations;
-    if (obj) {
-      result.archive.insert(genome, *obj);
-    } else {
-      ++result.infeasible_count;
-    }
+    single[0] = space.random_genome(rng);
+    runner.evaluate(single);
+    runner.book(0, single[0], result);
   }
   result.wallclock_s = watch.elapsed_s();
   return result;
@@ -499,7 +442,7 @@ DseResult run_exhaustive(const DesignSpace& space, const ObjectiveFunction& fn,
     throw std::invalid_argument(
         "run_exhaustive: design space too large to enumerate");
   }
-  const Stopwatch watch;
+  const util::Stopwatch watch;
   DseResult result;
   Genome genome(space.genome_length(), 0);
   for (;;) {

@@ -22,10 +22,10 @@ namespace wsnex::dse {
 /// Common result of one DSE run.
 ///
 /// `archive` holds every feasible non-dominated point discovered during
-/// the run. Objective layout and units are whatever the supplied
-/// ObjectiveFunction returns: (E_net [mJ/s], PRD_net [%], D_net [s]) for
-/// make_full_model_objective, (energy, delay [s]) for the two-metric
-/// baseline adapter.
+/// the run. Objective layout and units are whatever the supplied objective
+/// returns: (E_net [mJ/s], PRD_net [%], D_net [s]) for the full model
+/// (make_memoized_full_model_objective, make_full_model_objective),
+/// (energy, delay [s]) for the two-metric baseline.
 struct DseResult {
   ParetoArchive archive;
   std::size_t evaluations = 0;       ///< objective calls issued
@@ -93,15 +93,12 @@ struct Nsga2Options {
   /// PRNG seed; identical seeds give bit-identical runs.
   std::uint64_t seed = 1;
   /// Worker threads for objective evaluation: 0 picks the hardware
-  /// concurrency on the batch entry point (the scalar ObjectiveFunction
-  /// entry point treats 0 as 1, because it cannot assume an arbitrary
-  /// std::function is thread-safe); 1 evaluates inline with no pool at
-  /// all. Each generation is drawn up-front and evaluated as one batch
-  /// with index-ordered results, so the outcome (archive contents,
-  /// evaluation counts, population trajectory) is independent of this
-  /// value — threads only change wall-clock time. With threads > 1 the
-  /// objective is called concurrently and must be thread-safe (the
-  /// model-backed objectives are; beware of stateful lambdas).
+  /// concurrency, 1 evaluates inline with no pool at all; the width is
+  /// clamped to the objective's worker_slots(). Each generation is drawn
+  /// up-front and evaluated as one batch with index-ordered results, so
+  /// the outcome (archive contents, evaluation counts, population
+  /// trajectory) is independent of this value — threads only change
+  /// wall-clock time.
   std::size_t threads = 0;
   /// Optional externally owned pool for batch evaluation (campaign mode:
   /// many optimizer runs share one pool, and the runs themselves execute
@@ -119,15 +116,10 @@ struct Nsga2Options {
 
 /// NSGA-II (Deb et al. 2002): fast non-dominated sorting, crowding-distance
 /// diversity, binary tournament selection. All discovered non-dominated
-/// feasible points are accumulated into the returned archive.
-DseResult run_nsga2(const DesignSpace& space, const ObjectiveFunction& fn,
-                    const Nsga2Options& options);
-
-/// Batch-API variant — the fast path. Combine with
+/// feasible points are accumulated into the returned archive. Pass
 /// make_memoized_full_model_objective for the memoized, allocation-free
-/// evaluator. The pool width is clamped to fn.worker_slots().
-DseResult run_nsga2(const DesignSpace& space,
-                    const BatchObjectiveFunction& fn,
+/// evaluator, or wrap a scalar ObjectiveFunction with make_batch_adapter.
+DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
                     const Nsga2Options& options);
 
 /// Tuning knobs for run_mosa().
@@ -146,10 +138,9 @@ struct MosaOptions {
   double mutation_rate = 0.15;
   /// PRNG seed; identical seeds give bit-identical runs.
   std::uint64_t seed = 1;
-  /// Worker threads for objective evaluation (0 = hardware concurrency
-  /// on the batch entry point, treated as 1 by the scalar entry point —
-  /// see Nsga2Options::threads; 1 = inline). The annealing chain is
-  /// inherently sequential, so
+  /// Worker threads for objective evaluation (0 = hardware concurrency,
+  /// 1 = inline; clamped to worker_slots() as in Nsga2Options::threads).
+  /// The annealing chain is inherently sequential, so
   /// threads > 1 evaluates speculative lookahead batches: `threads`
   /// neighbour proposals are drawn (with their acceptance randomness
   /// pre-committed) under the assumption that the chain rejects each one,
@@ -158,8 +149,7 @@ struct MosaOptions {
   /// remaining speculation is discarded and the PRNG rewound. Discarded
   /// evaluations never touch the archive or the counters, so results are
   /// bit-identical for every thread count; speedup tracks the rejection
-  /// rate (high once the temperature has cooled). Thread-safety caveat as
-  /// in Nsga2Options.
+  /// rate (high once the temperature has cooled).
   std::size_t threads = 0;
   /// Optional externally owned evaluation pool — see Nsga2Options::pool.
   util::ThreadPool* pool = nullptr;
@@ -176,10 +166,6 @@ struct MosaOptions {
 /// neighbours are accepted with a temperature-controlled probability
 /// driven by the normalized domination amount (in the spirit of Nam/Park's
 /// multiobjective SA, the algorithm the paper cites [27]).
-DseResult run_mosa(const DesignSpace& space, const ObjectiveFunction& fn,
-                   const MosaOptions& options);
-
-/// Batch-API variant — see run_nsga2 overload notes.
 DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,
                    const MosaOptions& options);
 
@@ -191,9 +177,9 @@ struct RandomSearchOptions {
   std::uint64_t seed = 1;
 };
 
-/// Uniform random sampling baseline.
+/// Uniform random sampling baseline; evaluates inline on worker slot 0.
 DseResult run_random_search(const DesignSpace& space,
-                            const ObjectiveFunction& fn,
+                            const BatchObjectiveFunction& fn,
                             const RandomSearchOptions& options);
 
 struct ExhaustiveOptions {
@@ -205,7 +191,8 @@ struct ExhaustiveOptions {
 };
 
 /// Full enumeration (only for reduced spaces, e.g. correctness tests that
-/// compare heuristic fronts against ground truth).
+/// compare heuristic fronts against ground truth, with
+/// make_full_model_objective as the oracle).
 DseResult run_exhaustive(const DesignSpace& space, const ObjectiveFunction& fn,
                          const ExhaustiveOptions& options = {});
 

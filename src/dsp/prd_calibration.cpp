@@ -13,7 +13,6 @@
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
 
@@ -161,13 +160,9 @@ util::Json cache_key() {
   key.set("dwt_codec", std::move(dwt_json));
   key.set("cs_codec", std::move(cs_json));
   key.set("calibration", std::move(calib_json));
-  // Reassociated SIMD reductions perturb the PRD sums by a few ULP, so a
-  // cache written in that mode must not serve a bit-exact run (or vice
-  // versa). Campaign manifests carry the same guard (ResultStore refuses
-  // rerun/resume under a different gate state). The dispatched ISA is
-  // deliberately NOT in the key: the order-preserving kernels make curves
+  // The dispatched ISA is deliberately NOT in the key: the SIMD kernels
+  // are bit-identical to the scalar reference, so curves are
   // ISA-independent.
-  key.set("simd_reassociation", util::simd::reassociation_enabled());
   return key;
 }
 

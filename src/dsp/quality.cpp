@@ -11,10 +11,6 @@
 namespace wsnex::dsp {
 namespace {
 
-// The energy reductions run through the gated SIMD layer: scalar
-// left-to-right accumulation by default, lane-parallel only when
-// WSNEX_SIMD_REASSOC opts into reassociation (see util/simd.hpp).
-
 double sum_sq(std::span<const double> xs) { return util::simd::sum_sq(xs); }
 
 double sum_sq_diff(std::span<const double> a, std::span<const double> b) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 
@@ -14,6 +13,7 @@
 #include "dsp/prd_calibration.hpp"
 #include "model/lifetime.hpp"
 #include "util/build_info.hpp"
+#include "util/clock.hpp"
 #include "util/csv.hpp"
 #include "util/events.hpp"
 #include "util/failpoint.hpp"
@@ -21,19 +21,12 @@
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace wsnex::scenario {
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Wall-clock split of one execute_scenario call. Always measured — the
 /// cost is four clock reads per scenario — so summary.json carries the
@@ -136,11 +129,6 @@ util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
   summary.set("front_size", run.result.archive.size());
   summary.set("feasible_size", feasible.size());
   summary.set("wallclock_s", run.result.wallclock_s);
-  // Archive provenance: reassociated reductions shift objectives by a few
-  // ULP, so byte-level comparisons are only meaningful between runs with
-  // the same gate state (the manifest refuses mixed-mode resumes; this
-  // records the state next to the numbers it shaped).
-  summary.set("simd_reassociation", util::simd::reassociation_enabled());
   // Performance provenance: where this scenario's wall clock went.
   // Out-of-band by construction — nothing downstream reads it back.
   util::Json perf_json = util::Json::object();
@@ -271,14 +259,14 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 dse::SharedEvalCache* cache) {
   util::trace::Span scenario_span("scenario", spec.name);
   ScenarioPerf perf;
-  const double scenario_start = now_s();
+  const double scenario_start = util::now_s();
   if (options.events != nullptr) {
     options.events->publish(util::events::make_event(
         util::events::Kind::kScenarioStarted, options.event_job_id, spec.name,
         ""));
   }
 
-  double phase_start = now_s();
+  double phase_start = util::now_s();
   const dse::ProgressSink convergence =
       make_convergence_sink(spec, options, store);
   ScenarioRun run = [&] {
@@ -286,9 +274,9 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
     return run_scenario(spec, options.quick, options.threads, pool, cache,
                         convergence);
   }();
-  perf.evaluate_s = now_s() - phase_start;
+  perf.evaluate_s = util::now_s() - phase_start;
 
-  phase_start = now_s();
+  phase_start = util::now_s();
   std::vector<std::size_t> feasible;
   std::vector<double> lifetime_days;
   {
@@ -304,9 +292,9 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                               entries[i].genome);
     }
   }
-  perf.lifetime_s = now_s() - phase_start;
+  perf.lifetime_s = util::now_s() - phase_start;
 
-  phase_start = now_s();
+  phase_start = util::now_s();
   {
     util::trace::Span span("persist");
     store.ensure_result_dir(spec.name);
@@ -325,7 +313,7 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                             " failed (injected): " + std::strerror(errno));
     }
   }
-  perf.persist_s = now_s() - phase_start;
+  perf.persist_s = util::now_s() - phase_start;
   store.write_summary(spec.name,
                       make_summary(spec, run, feasible, lifetime_days, perf));
   if (options.post_scenario) {
@@ -335,7 +323,7 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
   static auto& executed = scenario_counter("outcome=\"executed\"");
   static auto& seconds = scenario_seconds();
   executed.inc();
-  seconds.observe(now_s() - scenario_start);
+  seconds.observe(util::now_s() - scenario_start);
   if (options.events != nullptr) {
     options.events->publish(util::events::make_event(
         util::events::Kind::kScenarioFinished, options.event_job_id, spec.name,
@@ -356,125 +344,14 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
 
 namespace {
 
-/// The historical serial driver: scenarios strictly in spec order, one at
-/// a time. jobs == 1 campaigns run through here unchanged.
-CampaignReport drive_campaign_serial(
-    const std::vector<ScenarioSpec>& specs, const CampaignOptions& options,
-    ResultStore& store, dse::SharedEvalCache& cache,
-    const std::function<void(const CampaignOutcome&)>& progress) {
-  const CampaignManifest manifest = store.load_manifest();
-  CampaignReport report;
-  std::size_t executed = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (options.abort_after != 0 && executed >= options.abort_after &&
-        !manifest.scenarios[i].complete) {
-      // Simulated kill: stop before the next pending scenario.
-      report.complete = false;
-      return report;
-    }
-    CampaignOutcome outcome;
-    outcome.name = specs[i].name;
-    if (manifest.scenarios[i].complete) {
-      outcome.skipped = true;
-      outcome.status = manifest.scenarios[i];
-      ++report.skipped;
-      static auto& skipped = scenario_counter("outcome=\"skipped\"");
-      skipped.inc();
-    } else {
-      outcome.status =
-          execute_scenario(specs[i], options, store, nullptr, &cache);
-      store.record_complete(outcome.status);
-      ++executed;
-      ++report.executed;
-    }
-    if (progress) progress(outcome);
-    report.outcomes.push_back(std::move(outcome));
-  }
-  report.complete = true;
-  return report;
-}
-
-/// The parallel driver: pending scenarios run as coarse tasks on one
-/// shared pool whose evaluation subtasks interleave on the same workers.
-/// Result files are byte-identical to the serial driver (per-scenario
-/// runs are independent and individually deterministic); manifest updates
-/// and progress callbacks are serialized under a mutex, so only the
-/// *order* of progress reporting differs.
-CampaignReport drive_campaign_parallel(
-    const std::vector<ScenarioSpec>& specs, const CampaignOptions& options,
-    ResultStore& store, dse::SharedEvalCache& cache,
-    const std::function<void(const CampaignOutcome&)>& progress) {
-  const CampaignManifest manifest = store.load_manifest();
-  std::vector<std::size_t> to_run;
-  std::size_t pending_total = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (manifest.scenarios[i].complete) continue;
-    ++pending_total;
-    if (options.abort_after == 0 || to_run.size() < options.abort_after) {
-      to_run.push_back(i);
-    }
-  }
-  // Mirror the serial driver's abort semantics: outcomes cover the spec
-  // prefix before the first pending scenario this invocation skips.
-  const bool aborted = to_run.size() < pending_total;
-  std::size_t cutoff = specs.size();
-  if (aborted) {
-    std::size_t seen_pending = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (manifest.scenarios[i].complete) continue;
-      if (seen_pending == to_run.size()) {
-        cutoff = i;
-        break;
-      }
-      ++seen_pending;
-    }
-  }
-
-  CampaignReport report;
-  std::vector<CampaignOutcome> outcomes(cutoff);
-  for (std::size_t i = 0; i < cutoff; ++i) {
-    outcomes[i].name = specs[i].name;
-    if (manifest.scenarios[i].complete) {
-      outcomes[i].skipped = true;
-      outcomes[i].status = manifest.scenarios[i];
-      ++report.skipped;
-      static auto& skipped = scenario_counter("outcome=\"skipped\"");
-      skipped.inc();
-      if (progress) progress(outcomes[i]);
-    }
-  }
-
-  const util::ThreadPool::Layout layout = util::ThreadPool::resolve_layout(
-      options.jobs, options.threads.value_or(0));
-  util::ThreadPool pool(layout.pool_width);
-  std::mutex store_mutex;
-  std::atomic<bool> failed{false};
-  pool.run_tasks(to_run.size(), [&](std::size_t task) {
-    // Mirror the serial driver's failure behavior: once any scenario has
-    // thrown, stop *starting* scenarios (in-flight ones finish; their
-    // results persist and a resume skips them). run_tasks drains the
-    // queue and rethrows the lowest failing task's exception.
-    if (failed.load(std::memory_order_relaxed)) return;
-    const std::size_t i = to_run[task];
-    try {
-      const ScenarioStatus status =
-          execute_scenario(specs[i], options, store, &pool, &cache);
-      const std::lock_guard<std::mutex> lock(store_mutex);
-      store.record_complete(status);
-      outcomes[i].status = status;
-      ++report.executed;
-      if (progress) progress(outcomes[i]);
-    } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
-      throw;
-    }
-  });
-
-  report.outcomes = std::move(outcomes);
-  report.complete = !aborted;
-  return report;
-}
-
+/// Runs the campaign on one pool sized by ThreadPool::resolve_layout:
+/// `layout.jobs` lanes each claim the next spec index until the outcome
+/// prefix is exhausted, so at most `jobs` scenarios are in flight and, at
+/// jobs 1, the specs run in order on the calling thread. Scenario
+/// evaluation batches and the post-scenario hook fan out on the same
+/// (reentrant) pool. Result files do not depend on the lane count: each
+/// scenario is individually deterministic and the archives are written in
+/// canonical order; only the order of progress reports differs.
 CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                               const CampaignOptions& options,
                               ResultStore& store,
@@ -486,10 +363,63 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                      "calibration was already computed";
   }
   dse::SharedEvalCache& cache = dse::SharedEvalCache::instance();
-  if (options.jobs > 1) {
-    return drive_campaign_parallel(specs, options, store, cache, progress);
+  const CampaignManifest manifest = store.load_manifest();
+  // abort_after simulates a kill: the outcomes cover the spec prefix
+  // before the first pending scenario beyond the limit.
+  std::size_t cutoff = specs.size();
+  std::size_t pending = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (manifest.scenarios[i].complete) continue;
+    if (options.abort_after != 0 && pending == options.abort_after) {
+      cutoff = i;
+      break;
+    }
+    ++pending;
   }
-  return drive_campaign_serial(specs, options, store, cache, progress);
+
+  const util::ThreadPool::Layout layout = util::ThreadPool::resolve_layout(
+      options.jobs, options.threads.value_or(0));
+  util::ThreadPool pool(layout.pool_width);
+  CampaignReport report;
+  std::vector<CampaignOutcome> outcomes(cutoff);
+  std::mutex mutex;  // guards the manifest, `report` and `progress`
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  pool.run_tasks(layout.jobs, [&](std::size_t) {
+    // After a failure no lane starts another scenario; in-flight ones
+    // finish and persist, and run_tasks rethrows once every lane is done.
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= cutoff) return;
+      CampaignOutcome& outcome = outcomes[i];
+      outcome.name = specs[i].name;
+      if (manifest.scenarios[i].complete) {
+        outcome.skipped = true;
+        outcome.status = manifest.scenarios[i];
+        static auto& skipped = scenario_counter("outcome=\"skipped\"");
+        skipped.inc();
+        const std::lock_guard<std::mutex> lock(mutex);
+        ++report.skipped;
+        if (progress) progress(outcome);
+        continue;
+      }
+      try {
+        outcome.status =
+            execute_scenario(specs[i], options, store, &pool, &cache);
+        const std::lock_guard<std::mutex> lock(mutex);
+        store.record_complete(outcome.status);
+        ++report.executed;
+        if (progress) progress(outcome);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    }
+  });
+
+  report.outcomes = std::move(outcomes);
+  report.complete = cutoff == specs.size();
+  return report;
 }
 
 void check_unique_names(const std::vector<ScenarioSpec>& specs) {
@@ -549,12 +479,8 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
   const auto evaluator =
       model::NetworkModelEvaluator::make_default(effective.evaluator_options());
   dse::DesignSpace space(effective.design_space_config());
-  // The memoized objective precomputes the whole app-layer/MAC memo, so
-  // it is built only inside the branches that actually batch-evaluate.
-  const auto make_memo = [&] {
-    return dse::make_memoized_full_model_objective(evaluator, space, workers,
-                                                   cache);
-  };
+  const auto objective = dse::make_memoized_full_model_objective(
+      evaluator, space, workers, cache);
 
   const OptimizerSettings& opt = effective.optimizer;
   dse::DseResult result;
@@ -569,7 +495,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
       o.threads = workers;
       o.pool = pool;
       o.progress = progress;
-      result = dse::run_nsga2(space, *make_memo(), o);
+      result = dse::run_nsga2(space, *objective, o);
       break;
     }
     case OptimizerKind::kMosa: {
@@ -582,15 +508,14 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
       o.threads = workers;
       o.pool = pool;
       o.progress = progress;
-      result = dse::run_mosa(space, *make_memo(), o);
+      result = dse::run_mosa(space, *objective, o);
       break;
     }
     case OptimizerKind::kRandom: {
       dse::RandomSearchOptions o;
       o.samples = opt.iterations;
       o.seed = opt.seed;
-      const auto scalar = dse::make_full_model_objective(evaluator);
-      result = dse::run_random_search(space, scalar, o);
+      result = dse::run_random_search(space, *objective, o);
       break;
     }
   }
@@ -624,18 +549,6 @@ CampaignReport resume_campaign(
   ResultStore store(out_dir);
   store.sweep_stale_temp_files();
   const CampaignManifest manifest = store.load_manifest();
-  if (manifest.simd_reassociation != util::simd::reassociation_enabled()) {
-    // A resume re-runs only the pending scenarios; under a different gate
-    // state the fresh archives would differ by ULPs from the completed
-    // ones and the store's uninterrupted-vs-resumed byte identity would
-    // silently break.
-    throw ScenarioError(
-        out_dir + ": campaign ran with SIMD reassociation " +
-        (manifest.simd_reassociation ? "on" : "off") +
-        " but this process has it " +
-        (util::simd::reassociation_enabled() ? "on" : "off") +
-        "; resume with matching WSNEX_SIMD_REASSOC");
-  }
   std::vector<ScenarioSpec> specs;
   specs.reserve(manifest.scenarios.size());
   for (const ScenarioStatus& status : manifest.scenarios) {

@@ -1,6 +1,6 @@
 // Batch campaigns: fan a list of declarative scenarios through the
 // batched DSE engine and persist every result to a ResultStore, with
-// checkpoint/resume, an optional parallel scheduler (`jobs`) and a shared
+// checkpoint/resume, a cap on concurrent scenarios (`jobs`) and a shared
 // cross-scenario evaluation cache.
 //
 // Reproducibility: each scenario runs the memoized batch objective with
@@ -14,11 +14,14 @@
 // both assert this). Only the summary/manifest wallclock fields differ
 // between runs.
 //
-// Scheduling: with jobs > 1 one shared util::ThreadPool serves both
-// levels — scenarios run as coarse tasks on the pool, and each scenario's
-// evaluation batches fan out as subtasks on the same pool (it is
-// reentrant), so campaign x evaluation parallelism never oversubscribes
-// the machine (ThreadPool::resolve_layout clamps the product).
+// Scheduling: one util::ThreadPool serves both levels — `jobs` lanes on
+// the pool each claim the next scenario in spec order, and each
+// scenario's evaluation batches (and post-scenario hook) fan out as
+// subtasks on the same pool (it is reentrant), so at most `jobs`
+// scenarios are in flight and campaign x evaluation parallelism never
+// oversubscribes the machine (ThreadPool::resolve_layout clamps the
+// product). At jobs 1 the scenarios run in spec order on the calling
+// thread.
 #pragma once
 
 #include <functional>
@@ -99,8 +102,9 @@ util::metrics::Histogram& scenario_seconds_histogram();
 /// pending, so resume re-runs scenario + hook and reproduces both. The
 /// validate subsystem installs its Monte Carlo validator here
 /// (`wsnex run --validate`); the scenario layer itself stays independent
-/// of the modules above it. `pool` is the shared campaign pool (null in
-/// serial campaigns); hooks may fan subtasks out on it.
+/// of the modules above it. `pool` is the campaign pool execute_scenario
+/// was given (null only when a caller passes none); hooks may fan
+/// subtasks out on it.
 using PostScenarioHook = std::function<void(
     const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store,
     util::ThreadPool* pool)>;
@@ -110,18 +114,20 @@ struct CampaignOptions {
   std::string out_dir;  ///< result-store root (created if absent)
   bool quick = false;   ///< shrink every scenario's budget (recorded in the
                         ///< manifest; resume inherits it)
-  /// Replaces every spec's optimizer.threads when set (0 = hardware
-  /// concurrency). Never changes results.
+  /// Evaluation threads per scenario (unset or 0 = hardware
+  /// concurrency): with `jobs` it sizes the campaign pool through
+  /// util::ThreadPool::resolve_layout(jobs, threads), and the specs'
+  /// optimizer.threads are not consulted. Never changes results.
   std::optional<std::size_t> threads;
   /// Testing hook: stop (as if killed) after this many scenarios have been
   /// *executed* in this invocation; the manifest keeps the rest pending so
   /// a resume can pick them up. 0 = no limit.
   std::size_t abort_after = 0;
-  /// Concurrent scenarios (`wsnex run --jobs N`). Scenario tasks and
-  /// their evaluation batches share one pool sized by
-  /// util::ThreadPool::resolve_layout(jobs, threads), so the two levels
-  /// never oversubscribe the machine. Never changes result files — only
-  /// wall-clock and the order progress is reported in.
+  /// Maximum scenarios in flight (`wsnex run --jobs N`); 1 runs them in
+  /// spec order. Scenarios and their evaluation batches share one pool
+  /// sized by util::ThreadPool::resolve_layout(jobs, threads), so the two
+  /// levels never oversubscribe the machine. Never changes result files —
+  /// only wall-clock and the order progress is reported in.
   std::size_t jobs = 1;
   /// On-disk warm-cache directory (`wsnex run --cache-dir DIR`): the
   /// first campaign writes the PRD codec calibration (the dominant
@@ -153,8 +159,10 @@ struct CampaignOptions {
 /// `store` — everything except the manifest update, which the caller
 /// serializes via ResultStore::record_complete once the returned status is
 /// safe to publish. This is the shared unit of work of the campaign
-/// drivers and the `wsnex serve` job scheduler: both interleave many of
-/// these on one pool, each followed by its own record_complete.
+/// driver and the `wsnex serve` job scheduler: both interleave many of
+/// these on one pool, each followed by its own record_complete. A null
+/// `pool` evaluates on a run-private pool sized by the spec's
+/// optimizer.threads.
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
                                 ResultStore& store, util::ThreadPool* pool,

@@ -6,7 +6,6 @@
 #include <filesystem>
 
 #include "util/fsio.hpp"
-#include "util/simd.hpp"
 
 namespace wsnex::scenario {
 
@@ -160,19 +159,6 @@ void ResultStore::initialize(const std::vector<ScenarioSpec>& specs,
           (manifest.quick ? "run with --quick" : "run without --quick") +
           "; rerun with matching options or use a fresh output directory");
     }
-    if (manifest.simd_reassociation != util::simd::reassociation_enabled()) {
-      // Reassociated reductions shift decode outputs by a few ULP; mixing
-      // modes inside one store would make its archives silently
-      // non-comparable (the same guard the PRD calibration cache key
-      // applies).
-      throw ScenarioError(
-          root_ + ": existing campaign ran with SIMD reassociation " +
-          (manifest.simd_reassociation ? "on" : "off") +
-          " but this process has it " +
-          (util::simd::reassociation_enabled() ? "on" : "off") +
-          "; rerun with matching WSNEX_SIMD_REASSOC or use a fresh output "
-          "directory");
-    }
     if (manifest.scenarios.size() != specs.size()) {
       throw ScenarioError(
           root_ + ": existing campaign has " +
@@ -205,7 +191,6 @@ void ResultStore::initialize(const std::vector<ScenarioSpec>& specs,
   }
   CampaignManifest manifest;
   manifest.quick = quick;
-  manifest.simd_reassociation = util::simd::reassociation_enabled();
   manifest.scenarios.reserve(specs.size());
   for (const ScenarioSpec& spec : specs) {
     ScenarioStatus status;
@@ -231,10 +216,13 @@ CampaignManifest ResultStore::load_manifest() const {
                           std::to_string(manifest.format_version));
     }
     manifest.quick = json.at("quick").as_bool();
-    // Optional: manifests written before the SIMD layer lack the field;
-    // they could only have run with the gate's default (off).
-    if (const util::Json* reassoc = json.find("simd_reassociation")) {
-      manifest.simd_reassociation = reassoc->as_bool();
+    // Such a campaign's archives are not byte-comparable with this
+    // build's, so neither a rerun nor a resume may extend them.
+    if (const util::Json* reassoc = json.find("simd_reassociation");
+        reassoc != nullptr && reassoc->as_bool()) {
+      throw ScenarioError(manifest_path() +
+                          ": campaign ran with SIMD reassociation, a removed "
+                          "numerical mode; use a fresh output directory");
     }
     for (const util::Json& s : json.at("scenarios").as_array()) {
       manifest.scenarios.push_back(status_from_json(s));
@@ -301,7 +289,6 @@ void ResultStore::save_manifest(const CampaignManifest& manifest) const {
   util::Json json = util::Json::object();
   json.set("format_version", manifest.format_version);
   json.set("quick", manifest.quick);
-  json.set("simd_reassociation", manifest.simd_reassociation);
   util::Json scenarios = util::Json::array();
   for (const ScenarioStatus& s : manifest.scenarios) {
     scenarios.push_back(status_to_json(s));

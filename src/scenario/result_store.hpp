@@ -44,13 +44,6 @@ struct ScenarioStatus {
 struct CampaignManifest {
   int format_version = 1;
   bool quick = false;  ///< campaign ran with reduced budgets
-  /// SIMD reassociating-reduction gate state the campaign ran under
-  /// (util::simd::reassociation_enabled()). The gate perturbs decode
-  /// outputs by a few ULP, so archives from the two modes are not
-  /// byte-comparable; rerun/resume under a different gate state is
-  /// refused (manifests from before the field default to false — the
-  /// gate's default). Absent from older manifests.
-  bool simd_reassociation = false;
   std::vector<ScenarioStatus> scenarios;
 };
 

@@ -9,6 +9,7 @@
 
 #include "dsp/prd_calibration.hpp"
 #include "scenario/campaign.hpp"
+#include "util/clock.hpp"
 #include "util/fsio.hpp"
 #include "util/logging.hpp"
 #include "util/socket.hpp"
@@ -55,12 +56,6 @@ util::metrics::Counter& deadline_counter() {
   return util::metrics::Registry::instance().counter(
       "wsnex_serve_deadline_exceeded_total",
       "Jobs failed for exceeding their deadline_s budget");
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 using util::events::Kind;
@@ -630,7 +625,7 @@ void JobScheduler::worker_loop() {
     std::optional<JobRecord> record;
     if (job.state == JobState::kQueued) {
       job.state = JobState::kRunning;
-      job.running_since_s = now_s();
+      job.running_since_s = util::now_s();
       record = record_of(job);
       job.events->publish(make_event(Kind::kJobStarted, id, "", ""));
     }
@@ -639,13 +634,13 @@ void JobScheduler::worker_loop() {
 
     lk.unlock();
     if (record) persist_record(job, *record);
-    const double unit_start = now_s();
+    const double unit_start = util::now_s();
     UnitOutcome outcome;
     {
       util::trace::Span span("unit", id + ":" + job.unit_names[unit]);
       outcome = run_unit(job, unit);
     }
-    const double unit_elapsed = now_s() - unit_start;
+    const double unit_elapsed = util::now_s() - unit_start;
     lk.lock();
 
     --job.units_running;
@@ -655,7 +650,7 @@ void JobScheduler::worker_loop() {
     // catch units that never return.
     if (!is_terminal(job.state) && !job.fail_requested &&
         job.spec.deadline_s > 0.0 &&
-        now_s() - job.running_since_s > job.spec.deadline_s) {
+        util::now_s() - job.running_since_s > job.spec.deadline_s) {
       if (job.error.empty()) {
         job.error = "deadline of " + std::to_string(job.spec.deadline_s) +
                     "s exceeded";
@@ -714,7 +709,7 @@ void JobScheduler::watchdog_loop() {
                  std::chrono::duration<double>(options_.watchdog_interval_s),
                  [this] { return stopping_; });
     if (stopping_) return;
-    const double now = now_s();
+    const double now = util::now_s();
     std::vector<std::pair<Job*, JobRecord>> expired;
     for (auto& [id, job] : jobs_) {
       Job& j = *job;

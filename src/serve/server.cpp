@@ -1,10 +1,10 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
+#include "util/clock.hpp"
 #include "util/events.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
@@ -15,12 +15,6 @@ namespace {
 
 util::HttpResponse json_response(int status, const util::Json& body) {
   return util::HttpResponse(status, body.dump() + "\n");
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Label-safe method name; anything beyond the verbs this API routes is
@@ -283,7 +277,7 @@ void HttpServer::handler_loop() {
 }
 
 void HttpServer::handle_connection(util::TcpStream stream) {
-  const double start = now_s();
+  const double start = util::now_s();
   const std::string request_id =
       "req-" + std::to_string(
                    next_request_id_.fetch_add(1, std::memory_order_relaxed) +
@@ -342,7 +336,7 @@ void HttpServer::respond(util::TcpStream& stream,
                          const std::string& route,
                          const std::string& request_id, double start_s) {
   util::write_http_response(stream, response);
-  const double elapsed = now_s() - start_s;
+  const double elapsed = util::now_s() - start_s;
 
   auto& registry = util::metrics::Registry::instance();
   registry

@@ -1,7 +1,8 @@
 #include "sim/network.hpp"
 
-#include <chrono>
 #include <stdexcept>
+
+#include "util/clock.hpp"
 
 namespace wsnex::sim {
 
@@ -23,7 +24,7 @@ NetworkResult run_network(const NetworkScenario& scenario) {
   }
   const std::size_t n = scenario.traffic.size();
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  const util::Stopwatch watch;
 
   Engine engine;
   ChannelErrorConfig errors;
@@ -85,9 +86,7 @@ NetworkResult run_network(const NetworkScenario& scenario) {
         static_cast<double>(nr.counters.gts_windows) / t;
   }
 
-  const auto wall_end = std::chrono::steady_clock::now();
-  result.wallclock_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  result.wallclock_s = watch.elapsed_s();
   return result;
 }
 

@@ -14,7 +14,6 @@ BuildInfo build_info() {
   BuildInfo info;
   info.version = WSNEX_BUILD_VERSION;
   info.active_isa = simd::isa_name(simd::active_isa());
-  info.reassociation = simd::reassociation_enabled();
 #if defined(WSNEX_METRICS_DISABLED)
   info.metrics = false;
 #else
@@ -29,7 +28,6 @@ Json build_info_json() {
   Json obj = Json::object();
   obj.set("version", Json(info.version));
   obj.set("active_isa", Json(info.active_isa));
-  obj.set("reassociation", Json(info.reassociation));
   obj.set("metrics", Json(info.metrics));
   obj.set("failpoints", Json(info.failpoints));
   return obj;
@@ -39,7 +37,6 @@ void register_build_info_metric() {
   const BuildInfo info = build_info();
   const std::string labels =
       "version=\"" + info.version + "\",isa=\"" + info.active_isa +
-      "\",reassoc=\"" + (info.reassociation ? "on" : "off") +
       "\",metrics=\"" + (info.metrics ? "on" : "off") + "\",failpoints=\"" +
       (info.failpoints ? "on" : "off") + "\"";
   metrics::Registry::instance()

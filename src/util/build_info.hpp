@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file build_info.hpp
-/// Self-description of the running binary: version, active SIMD ISA, the
-/// reassociation gate, and which compile-time observability subsystems are
-/// present. Exposed two ways so scrapes and artifacts carry the same facts:
+/// Self-description of the running binary: version, active SIMD ISA and
+/// which compile-time observability subsystems are present. Exposed two ways so scrapes and artifacts carry the same facts:
 /// as a `wsnex_build_info` gauge on /metrics (value 1, facts in labels) and
 /// as a JSON block embedded in each summary.json perf section.
 
@@ -16,18 +15,17 @@ namespace wsnex::util {
 struct BuildInfo {
   std::string version;        ///< Project version (or "unknown").
   std::string active_isa;     ///< SIMD ISA selected at startup (simd.hpp).
-  bool reassociation = false; ///< Reduction-reassociation gate state.
   bool metrics = false;       ///< Metrics registry compiled in.
   bool failpoints = false;    ///< Fault-injection registry compiled in.
 };
 
-/// Snapshot of the running binary's build facts. `active_isa` and
-/// `reassociation` reflect current runtime state, so call after any
-/// --force-scalar style overrides have been applied.
+/// Snapshot of the running binary's build facts. `active_isa` reflects
+/// current runtime state, so call after any --force-scalar style
+/// overrides have been applied.
 BuildInfo build_info();
 
-/// The same facts as a JSON object (keys: version, active_isa,
-/// reassociation, metrics, failpoints).
+/// The same facts as a JSON object (keys: version, active_isa, metrics,
+/// failpoints).
 Json build_info_json();
 
 /// Registers the `wsnex_build_info` gauge (value 1, facts as labels) in the

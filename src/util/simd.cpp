@@ -13,9 +13,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These are the arithmetic specification: every
-// other ISA's table must match them bit-for-bit (order-preserving set) or
-// within documented ULP drift (reductions). The blocked shapes are the
-// PR 4 kernels moved here verbatim.
+// other ISA's table must match them bit-for-bit. The blocked shapes are
+// the earlier util::linalg kernels moved here verbatim.
 //
 // This TU (and the per-ISA TUs) is compiled with -ffp-contract=off — see
 // src/util/CMakeLists.txt. Without it, compilers that contract by default
@@ -28,21 +27,6 @@ namespace {
 double scalar_dot(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double scalar_sum_sq(const double* x, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * x[i];
-  return acc;
-}
-
-double scalar_sum_sq_diff(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
   return acc;
 }
 
@@ -176,9 +160,6 @@ const Ops& scalar_ops() {
       &scalar_max_abs,
       &scalar_dwt_analyze,
       &scalar_dwt_synthesize,
-      &scalar_dot,
-      &scalar_sum_sq,
-      &scalar_sum_sq_diff,
   };
   return ops;
 }
@@ -231,11 +212,6 @@ const detail::Ops& ops() {
   return *dispatch().ops.load(std::memory_order_relaxed);
 }
 
-std::atomic<bool>& reassoc_flag() {
-  static std::atomic<bool> flag{env_flag("WSNEX_SIMD_REASSOC")};
-  return flag;
-}
-
 }  // namespace
 
 const char* isa_name(Isa isa) {
@@ -273,14 +249,6 @@ bool set_active_isa(Isa isa) {
   dispatch().isa.store(isa, std::memory_order_relaxed);
   dispatch().ops.store(table, std::memory_order_relaxed);
   return true;
-}
-
-bool reassociation_enabled() {
-  return reassoc_flag().load(std::memory_order_relaxed);
-}
-
-void set_reassociation(bool enabled) {
-  reassoc_flag().store(enabled, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,23 +376,23 @@ void dwt_synthesize(std::span<const double> approx,
 
 double dot(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
-  if (!reassociation_enabled()) {
-    return scalar_dot(a.data(), b.data(), a.size());
-  }
-  return ops().dot(a.data(), b.data(), a.size());
+  return scalar_dot(a.data(), b.data(), a.size());
 }
 
 double sum_sq(std::span<const double> x) {
-  if (!reassociation_enabled()) return scalar_sum_sq(x.data(), x.size());
-  return ops().sum_sq(x.data(), x.size());
+  double acc = 0.0;
+  for (const double v : x) acc += v * v;
+  return acc;
 }
 
 double sum_sq_diff(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
-  if (!reassociation_enabled()) {
-    return scalar_sum_sq_diff(a.data(), b.data(), a.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
   }
-  return ops().sum_sq_diff(a.data(), b.data(), a.size());
+  return acc;
 }
 
 }  // namespace wsnex::util::simd

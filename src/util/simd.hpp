@@ -8,16 +8,13 @@
 // build serves every deployment; `WSNEX_FORCE_SCALAR=1` pins the scalar
 // reference path and `wsnex version` reports what was picked.
 //
-// Bit-identity contract: every kernel here except the reductions at the
-// bottom reproduces the scalar implementation bit-for-bit on every ISA —
-// per-output accumulation order is preserved and multiplies/adds stay
-// separate (no FMA contraction), so campaign archives, calibration caches
-// and checkpoint/resume comparisons are byte-identical regardless of the
-// dispatched ISA. The reductions (dot, sum of squares) cannot be
-// vectorized without reassociating the sum; they run scalar unless
-// reassociation is explicitly enabled (WSNEX_SIMD_REASSOC=1 or
-// set_reassociation(true)), which trades bit-identity for throughput and
-// is covered by tolerance tests instead of exact ones.
+// Bit-identity contract: every kernel here reproduces the scalar
+// implementation bit-for-bit on every ISA — per-output accumulation order
+// is preserved and multiplies/adds stay separate (no FMA contraction), so
+// campaign archives, calibration caches and checkpoint/resume comparisons
+// are byte-identical regardless of the dispatched ISA. The reductions
+// (dot, sum of squares) cannot be vectorized without reassociating the
+// sum, so they always run the scalar reference.
 //
 // NaN contract: kernel inputs must be NaN-free; results for NaN inputs
 // are unspecified and the bit-identity guarantee is void for them. The
@@ -65,13 +62,13 @@ bool scalar_forced_by_env();
 /// does not support `isa`. Thread-safe; affects subsequent kernel calls.
 bool set_active_isa(Isa isa);
 
-/// Reassociating-reduction gate. Off by default; initialized from
-/// WSNEX_SIMD_REASSOC ("1"/non-empty enables) and overridable at runtime.
-bool reassociation_enabled();
-void set_reassociation(bool enabled);
+/// Always false: reductions never reassociate. Kept only because the
+/// wsnbench provenance output prints it; remove it with wsnbench's next
+/// revision.
+constexpr bool reassociation_enabled() { return false; }
 
 // ---------------------------------------------------------------------------
-// Order-preserving kernels — bit-identical across ISAs.
+// Dispatched kernels — bit-identical across ISAs.
 // ---------------------------------------------------------------------------
 
 /// Columns per packed panel. Fixed across ISAs so a matrix packed once is
@@ -157,18 +154,16 @@ void dwt_synthesize(std::span<const double> approx,
                     std::span<const double> highpass, std::span<double> out);
 
 // ---------------------------------------------------------------------------
-// Reductions — scalar unless reassociation is enabled.
+// Reductions — scalar left-to-right accumulation on every ISA.
 // ---------------------------------------------------------------------------
 
-/// Inner product. Scalar left-to-right accumulation by default; with
-/// reassociation enabled the dispatched ISA may sum in lane-parallel
-/// order (documented ULP drift, tolerance-tested).
+/// Inner product.
 double dot(std::span<const double> a, std::span<const double> b);
 
-/// sum_i x[i]^2 under the same gating as dot().
+/// sum_i x[i]^2.
 double sum_sq(std::span<const double> x);
 
-/// sum_i (a[i] - b[i])^2 under the same gating as dot().
+/// sum_i (a[i] - b[i])^2.
 double sum_sq_diff(std::span<const double> a, std::span<const double> b);
 
 }  // namespace wsnex::util::simd

@@ -8,9 +8,7 @@
 //     scalar's per-element operation order (accumulate4, axpy, the FISTA
 //     steps, DWT synthesize);
 //   * multiply and add stay separate instructions — no _mm256_fmadd_pd,
-//     whose single rounding would diverge from the scalar mul-then-add;
-//   * the reductions at the bottom DO reassociate (4 lanes + horizontal
-//     sum) and are only reachable through the WSNEX_SIMD_REASSOC gate.
+//     whose single rounding would diverge from the scalar mul-then-add.
 #include "util/simd_kernels.hpp"
 
 #if defined(__AVX2__) && (defined(__x86_64__) || defined(__i386__))
@@ -278,53 +276,6 @@ void avx2_dwt_synthesize(const double* approx, const double* detail,
   }
 }
 
-double hsum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s2 = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
-}
-
-double avx2_dot(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  double s = hsum(acc);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double avx2_sum_sq(const double* x, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-  }
-  double s = hsum(acc);
-  for (; i < n; ++i) s += x[i] * x[i];
-  return s;
-}
-
-double avx2_sum_sq_diff(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  double s = hsum(acc);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
-}
-
 }  // namespace
 
 const Ops* avx2_ops() {
@@ -338,9 +289,6 @@ const Ops* avx2_ops() {
       &avx2_max_abs,
       &avx2_dwt_analyze,
       &avx2_dwt_synthesize,
-      &avx2_dot,
-      &avx2_sum_sq,
-      &avx2_sum_sq_diff,
   };
   return &ops;
 }

@@ -10,13 +10,10 @@
 
 namespace wsnex::util::simd::detail {
 
-/// Raw kernel entry points. Every order-preserving kernel must reproduce
-/// the scalar implementation bit-for-bit (same per-output accumulation
-/// order, separate multiply and add — no FMA contraction); the reduction
-/// kernels at the bottom may reassociate and are only reached through the
-/// WSNEX_SIMD_REASSOC gate.
+/// Raw kernel entry points. Every kernel must reproduce the scalar
+/// implementation bit-for-bit (same per-output accumulation order,
+/// separate multiply and add — no FMA contraction).
 struct Ops {
-  // --- order-preserving -------------------------------------------------
   /// Packed-panel transposed GEMV: `packed` holds ceil(cols/4) panels of 4
   /// element-interleaved columns (see simd::PackedGemv); out[j] = column j
   /// dotted with x, accumulated in ascending row order per output.
@@ -57,11 +54,6 @@ struct Ops {
   void (*dwt_synthesize)(const double* approx, const double* detail,
                          std::size_t half, const double* lp, const double* hp,
                          std::size_t taps, double* out);
-
-  // --- reassociating reductions (WSNEX_SIMD_REASSOC-gated) --------------
-  double (*dot)(const double* a, const double* b, std::size_t n);
-  double (*sum_sq)(const double* x, std::size_t n);
-  double (*sum_sq_diff)(const double* a, const double* b, std::size_t n);
 };
 
 /// Reference implementation — also the arithmetic specification every

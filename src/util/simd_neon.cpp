@@ -4,8 +4,8 @@
 //
 // Same bit-identity discipline as the AVX2 table (see simd_avx2.cpp):
 // lanes map to distinct outputs or preserve the scalar per-element
-// operation order, multiplies and adds stay separate (vmulq + vaddq, never
-// vfmaq), and only the WSNEX_SIMD_REASSOC-gated reductions reassociate.
+// operation order, and multiplies and adds stay separate (vmulq + vaddq,
+// never vfmaq).
 #include "util/simd_kernels.hpp"
 
 #if defined(__aarch64__)
@@ -249,44 +249,6 @@ void neon_dwt_synthesize(const double* approx, const double* detail,
   }
 }
 
-double neon_dot(const double* a, const double* b, std::size_t n) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = vaddq_f64(acc, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  double s = vaddvq_f64(acc);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double neon_sum_sq(const double* x, std::size_t n) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t v = vld1q_f64(x + i);
-    acc = vaddq_f64(acc, vmulq_f64(v, v));
-  }
-  double s = vaddvq_f64(acc);
-  for (; i < n; ++i) s += x[i] * x[i];
-  return s;
-}
-
-double neon_sum_sq_diff(const double* a, const double* b, std::size_t n) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t d = vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-    acc = vaddq_f64(acc, vmulq_f64(d, d));
-  }
-  double s = vaddvq_f64(acc);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
-}
-
 }  // namespace
 
 const Ops* neon_ops() {
@@ -300,9 +262,6 @@ const Ops* neon_ops() {
       &neon_max_abs,
       &neon_dwt_analyze,
       &neon_dwt_synthesize,
-      &neon_dot,
-      &neon_sum_sq,
-      &neon_sum_sq_diff,
   };
   return &ops;
 }

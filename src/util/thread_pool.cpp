@@ -1,8 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 
+#include "util/clock.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
 
@@ -41,12 +41,6 @@ PoolMetrics& pool_metrics() {
                          metrics::default_latency_bounds()),
   };
   return instrumented;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -215,10 +209,11 @@ void ThreadPool::parallel_for(
 void ThreadPool::run_tasks(std::size_t count,
                            const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (worker_count_ == 1) {
+  if (worker_count_ == 1 || count == 1) {
     // Same drain-then-rethrow contract as the pooled path: every task
     // runs (the campaign persists per-task side effects), the lowest
-    // task's exception surfaces afterwards.
+    // task's exception surfaces afterwards. A single task runs on the
+    // calling thread, which stays free to fan its own subtasks out.
     const double start = now_s();
     std::exception_ptr first;
     for (std::size_t t = 0; t < count; ++t) {

@@ -64,10 +64,11 @@ class ThreadPool {
 
   /// Runs fn(task) for every task in [0, count). Unlike parallel_for the
   /// assignment of tasks to threads is dynamic (FIFO claim), so use this
-  /// for coarse, unevenly sized work — e.g. one campaign scenario per
-  /// task — and only with fns whose results do not depend on which thread
-  /// runs them. Blocks until every task has run; reentrant; the first
-  /// exception (lowest task index) is rethrown after the batch drains.
+  /// for coarse, unevenly sized work — e.g. one campaign lane per task —
+  /// and only with fns whose results do not depend on which thread runs
+  /// them; a single task runs on the calling thread. Blocks until every
+  /// task has run; reentrant; the first exception (lowest task index) is
+  /// rethrown after the batch drains.
   void run_tasks(std::size_t count,
                  const std::function<void(std::size_t task)>& fn);
 

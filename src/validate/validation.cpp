@@ -1,7 +1,6 @@
 #include "validate/validation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -9,6 +8,7 @@
 #include "model/csma_model.hpp"
 #include "model/node_model.hpp"
 #include "sim/timing.hpp"
+#include "util/clock.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -208,7 +208,7 @@ const MetricSummary* ValidationReport::find_metric(
 
 ValidationReport run_validation(const scenario::ScenarioSpec& spec,
                                 const ValidationOptions& options) {
-  const auto wall_start = std::chrono::steady_clock::now();
+  const util::Stopwatch watch;
   spec.validate();
   const ReplicationPlan& plan = options.plan;
   if (plan.replicates == 0) {
@@ -419,9 +419,7 @@ ValidationReport run_validation(const scenario::ScenarioSpec& spec,
   for (const MetricSummary& m : report.metrics) {
     if (m.verdict == Verdict::kFail) report.passed = false;
   }
-  const auto wall_end = std::chrono::steady_clock::now();
-  report.wallclock_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  report.wallclock_s = watch.elapsed_s();
   return report;
 }
 
@@ -503,8 +501,8 @@ scenario::PostScenarioHook make_campaign_validation_hook(
     ValidationOptions vopts;
     vopts.plan.replicates = options.replicates;
     // Honor the campaign's concurrency budget: replicates interleave on
-    // the shared pool when one exists; a serial campaign stays serial
-    // instead of silently fanning out to every core.
+    // the campaign pool; without one they run inline instead of silently
+    // fanning out to every core.
     vopts.plan.jobs = 1;
     vopts.plan.duration_s = options.duration_s;
     vopts.plan.base_seed = spec.optimizer.seed;

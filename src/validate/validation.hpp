@@ -157,8 +157,9 @@ struct CampaignValidation {
 /// back to the reference design when nothing is feasible) and persists
 /// validation.json/validation.csv next to its archives. Replicate seeds
 /// derive from the spec's optimizer seed, and replicates fan out on the
-/// shared campaign pool when one exists, so the files are deterministic
-/// for a fixed campaign regardless of --jobs/--threads.
+/// campaign pool the hook is handed (its width set by --threads/--jobs;
+/// null runs them inline), so the files are deterministic for a fixed
+/// campaign regardless of --jobs/--threads.
 scenario::PostScenarioHook make_campaign_validation_hook(
     const CampaignValidation& options = {});
 

@@ -2,7 +2,8 @@
 //  * the memoized batch objective returns results bit-identical to the
 //    uncached scalar path across a sweep of the case-study design space,
 //  * NSGA-II and MOSA archives are independent of the thread count,
-//  * the scalar and batch entry points agree,
+//  * the scalar oracle (through make_batch_adapter) and the memoized
+//    objective drive NSGA-II, MOSA and random search to the same archive,
 //  * the flat non-dominated sort matches a reference implementation.
 #include <gtest/gtest.h>
 
@@ -145,7 +146,8 @@ TEST(Nsga2, ScalarAndMemoizedBatchProduceTheSameArchive) {
   opt.generations = 8;
   opt.seed = 1234;
   opt.threads = 1;
-  const DseResult via_scalar = run_nsga2(space, scalar, opt);
+  const DseResult via_scalar =
+      run_nsga2(space, *make_batch_adapter(space, scalar), opt);
   const DseResult via_memo = run_nsga2(space, *memo, opt);
   EXPECT_EQ(via_scalar.evaluations, via_memo.evaluations);
   EXPECT_EQ(via_scalar.infeasible_count, via_memo.infeasible_count);
@@ -180,9 +182,27 @@ TEST(Mosa, ScalarAndMemoizedBatchProduceTheSameArchive) {
   opt.iterations = 600;
   opt.seed = 5;
   opt.threads = 1;
-  const DseResult via_scalar = run_mosa(space, scalar, opt);
+  const DseResult via_scalar =
+      run_mosa(space, *make_batch_adapter(space, scalar), opt);
   const DseResult via_memo = run_mosa(space, *memo, opt);
   EXPECT_EQ(via_scalar.evaluations, via_memo.evaluations);
+  EXPECT_TRUE(same_entries(via_scalar.archive, via_memo.archive));
+}
+
+TEST(RandomSearch, ScalarAndMemoizedBatchProduceTheSameArchive) {
+  const DesignSpace space(DesignSpaceConfig::case_study());
+  const auto scalar = make_full_model_objective(shared_evaluator());
+  const auto memo =
+      make_memoized_full_model_objective(shared_evaluator(), space, 1);
+  RandomSearchOptions opt;
+  opt.samples = 600;
+  opt.seed = 11;
+  const DseResult via_scalar =
+      run_random_search(space, *make_batch_adapter(space, scalar), opt);
+  const DseResult via_memo = run_random_search(space, *memo, opt);
+  EXPECT_EQ(via_scalar.evaluations, via_memo.evaluations);
+  EXPECT_EQ(via_scalar.infeasible_count, via_memo.infeasible_count);
+  EXPECT_GT(via_memo.archive.size(), 0u);
   EXPECT_TRUE(same_entries(via_scalar.archive, via_memo.archive));
 }
 

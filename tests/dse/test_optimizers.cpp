@@ -48,7 +48,8 @@ TEST(Nsga2, FindsTrueFrontOnTinySpace) {
   Nsga2Options opt;
   opt.population = 32;
   opt.generations = 30;
-  const DseResult heuristic = run_nsga2(space, fn, opt);
+  const DseResult heuristic =
+      run_nsga2(space, *make_batch_adapter(space, fn), opt);
 
   // Every heuristic front point must be truly non-dominated.
   for (const ArchiveEntry& e : heuristic.archive.entries()) {
@@ -73,30 +74,33 @@ TEST(Nsga2, FindsTrueFrontOnTinySpace) {
 
 TEST(Nsga2, DeterministicPerSeed) {
   const DesignSpace space(tiny_space_config());
-  const auto fn = make_full_model_objective(shared_evaluator());
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(shared_evaluator()));
   Nsga2Options opt;
   opt.population = 16;
   opt.generations = 10;
-  const DseResult a = run_nsga2(space, fn, opt);
-  const DseResult b = run_nsga2(space, fn, opt);
+  const DseResult a = run_nsga2(space, *fn, opt);
+  const DseResult b = run_nsga2(space, *fn, opt);
   ASSERT_EQ(a.archive.size(), b.archive.size());
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
 TEST(Nsga2, RejectsDegeneratePopulation) {
   const DesignSpace space(tiny_space_config());
-  const auto fn = make_full_model_objective(shared_evaluator());
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(shared_evaluator()));
   Nsga2Options opt;
   opt.population = 2;
-  EXPECT_THROW(run_nsga2(space, fn, opt), std::invalid_argument);
+  EXPECT_THROW(run_nsga2(space, *fn, opt), std::invalid_argument);
 }
 
 TEST(Mosa, ProducesFeasibleFront) {
   const DesignSpace space(tiny_space_config());
-  const auto fn = make_full_model_objective(shared_evaluator());
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(shared_evaluator()));
   MosaOptions opt;
   opt.iterations = 800;
-  const DseResult r = run_mosa(space, fn, opt);
+  const DseResult r = run_mosa(space, *fn, opt);
   EXPECT_GT(r.archive.size(), 0u);
   // iterations plus however many restarts it took to find a feasible seed.
   EXPECT_GE(r.evaluations, 801u);
@@ -124,7 +128,8 @@ TEST(Mosa, ComparableQualityToNsga2) {
 
   MosaOptions mosa_opt;
   mosa_opt.iterations = 1500;
-  const DseResult mosa = run_mosa(space, fn, mosa_opt);
+  const DseResult mosa =
+      run_mosa(space, *make_batch_adapter(space, fn), mosa_opt);
   std::vector<Objectives> mosa_front;
   for (const auto& e : mosa.archive.entries()) {
     mosa_front.push_back(e.objectives);
@@ -134,10 +139,11 @@ TEST(Mosa, ComparableQualityToNsga2) {
 
 TEST(RandomSearch, FindsSomethingAndCountsEvaluations) {
   const DesignSpace space(tiny_space_config());
-  const auto fn = make_full_model_objective(shared_evaluator());
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(shared_evaluator()));
   RandomSearchOptions opt;
   opt.samples = 200;
-  const DseResult r = run_random_search(space, fn, opt);
+  const DseResult r = run_random_search(space, *fn, opt);
   EXPECT_EQ(r.evaluations, 200u);
   EXPECT_GT(r.archive.size(), 0u);
 }
@@ -145,10 +151,10 @@ TEST(RandomSearch, FindsSomethingAndCountsEvaluations) {
 TEST(Optimizers, BaselineObjectiveHasTwoDimensions) {
   const DesignSpace space(tiny_space_config());
   const model::BaselineEnergyDelayModel baseline(shared_evaluator());
-  const auto fn = make_baseline_objective(baseline);
+  const auto fn = make_batch_adapter(space, make_baseline_objective(baseline));
   RandomSearchOptions opt;
   opt.samples = 50;
-  const DseResult r = run_random_search(space, fn, opt);
+  const DseResult r = run_random_search(space, *fn, opt);
   ASSERT_GT(r.archive.size(), 0u);
   for (const auto& e : r.archive.entries()) {
     ASSERT_EQ(e.objectives.size(), 2u);
@@ -234,28 +240,18 @@ TEST(ProgressSink, DefaultMosaFiresOnIterationCadenceAtAnyThreadCount) {
 
 TEST(ProgressSink, LargeNsga2BudgetStaysNearSixtyFourSnapshots) {
   const DesignSpace space(tiny_space_config());
-  const auto fn = make_full_model_objective(shared_evaluator());
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(shared_evaluator()));
   Nsga2Options opt;
   opt.population = 16;
   opt.generations = 100;  // budget 1616: stride max(16, 25) = 25
   std::vector<SnapshotRecord> records;
   opt.progress = recording_sink(records);
-  const DseResult r = run_nsga2(space, fn, opt);
+  const DseResult r = run_nsga2(space, *fn, opt);
   // The start, the 64 generations that cross a multiple of 25, the end.
   EXPECT_EQ(records.size(), 66u);
   EXPECT_EQ(records.back().evaluations, r.evaluations);
   expect_strictly_increasing(records);
-}
-
-TEST(Optimizers, CountingObjectiveCounts) {
-  const DesignSpace space(tiny_space_config());
-  const CountingObjective counting(
-      make_full_model_objective(shared_evaluator()));
-  util::Rng rng(1);
-  for (int i = 0; i < 10; ++i) {
-    (void)counting(space.decode(space.random_genome(rng)));
-  }
-  EXPECT_EQ(counting.count(), 10u);
 }
 
 }  // namespace

@@ -118,7 +118,8 @@ TEST(EndToEnd, DseFrontValidatesInSimulation) {
   dse::Nsga2Options opt;
   opt.population = 24;
   opt.generations = 12;
-  const dse::DseResult result = dse::run_nsga2(space, fn, opt);
+  const dse::DseResult result =
+      dse::run_nsga2(space, *dse::make_batch_adapter(space, fn), opt);
   ASSERT_GE(result.archive.size(), 3u);
 
   int validated = 0;

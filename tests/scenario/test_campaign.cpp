@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/json.hpp"
-#include "util/simd.hpp"
 #include "util/trace.hpp"
 
 namespace wsnex::scenario {
@@ -57,6 +60,21 @@ class CampaignTest : public ::testing::Test {
     o.quick = true;
     return o;
   }
+
+  /// Both archives of every spec match between two stores byte for byte.
+  static void expect_same_archives(const std::vector<ScenarioSpec>& specs,
+                                   const std::string& a_dir,
+                                   const std::string& b_dir) {
+    ResultStore a(a_dir), b(b_dir);
+    for (const auto& spec : specs) {
+      EXPECT_EQ(read_file(a.pareto_csv_path(spec.name)),
+                read_file(b.pareto_csv_path(spec.name)))
+          << spec.name;
+      EXPECT_EQ(read_file(a.feasible_csv_path(spec.name)),
+                read_file(b.feasible_csv_path(spec.name)))
+          << spec.name;
+    }
+  }
 };
 
 TEST_F(CampaignTest, RunProducesStoreLayoutAndReport) {
@@ -69,8 +87,9 @@ TEST_F(CampaignTest, RunProducesStoreLayoutAndReport) {
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.executed, 3u);
   EXPECT_EQ(report.skipped, 0u);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], "hospital_ward_2");
+  // At jobs 1 progress reports arrive in spec order.
+  EXPECT_EQ(seen, (std::vector<std::string>{"hospital_ward_2",
+                                            "hospital_ward_3", "all_cs_6"}));
 
   ResultStore store(dir("a"));
   ASSERT_TRUE(ResultStore::exists(store.root()));
@@ -183,25 +202,90 @@ TEST_F(CampaignTest, MismatchedReuseOfStoreIsRejected) {
   EXPECT_THROW(run_campaign(edited, options(dir("a"))), ScenarioError);
 }
 
-TEST_F(CampaignTest, ReassociationGateMismatchIsRejected) {
+TEST_F(CampaignTest, ManifestWithReassociationIsRefused) {
   const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2")};
   run_campaign(specs, options(dir("a")));
+  const std::string manifest_path = ResultStore(dir("a")).manifest_path();
+  const std::string fresh = read_file(manifest_path);
+  EXPECT_EQ(util::Json::parse(fresh).find("simd_reassociation"), nullptr);
 
-  // Archives written with the gate closed must not be extended or
-  // resumed with it open: reassociated reductions shift outputs by ULPs
-  // and would break the store's byte-identity guarantees.
-  const bool saved = util::simd::reassociation_enabled();
-  util::simd::set_reassociation(!saved);
+  const auto write_manifest = [&](const std::string& text) {
+    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+    out << text;
+  };
+  const auto with_key = [&](bool value) {
+    util::Json json = util::Json::parse(fresh);
+    json.set("simd_reassociation", util::Json(value));
+    return json.dump(2);
+  };
+
+  // A store written in reassociating mode can be neither extended nor
+  // resumed: its archives are not byte-comparable with this build's.
+  write_manifest(with_key(true));
   EXPECT_THROW(run_campaign(specs, options(dir("a"))), ScenarioError);
   EXPECT_THROW(resume_campaign(dir("a")), ScenarioError);
-  util::simd::set_reassociation(saved);
 
-  // With the original gate state restored the rerun is a clean skip.
-  const CampaignReport again = run_campaign(specs, options(dir("a")));
-  EXPECT_EQ(again.skipped, 1u);
+  // `false` (older manifests) and an absent key load as before.
+  write_manifest(with_key(false));
+  EXPECT_EQ(run_campaign(specs, options(dir("a"))).skipped, 1u);
+  write_manifest(fresh);
+  EXPECT_EQ(run_campaign(specs, options(dir("a"))).skipped, 1u);
+  EXPECT_EQ(resume_campaign(dir("a")).skipped, 1u);
+}
 
-  // The manifest records the state it ran under.
-  EXPECT_EQ(ResultStore(dir("a")).load_manifest().simd_reassociation, saved);
+TEST_F(CampaignTest, FailingScenarioStopsTheCampaignAndStaysPending) {
+  const auto specs = small_campaign();
+  run_campaign(specs, options(dir("clean")));
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const std::string out = dir("fail_j" + std::to_string(jobs));
+    std::atomic<std::size_t> hook_calls{0};
+    CampaignOptions o = options(out);
+    o.jobs = jobs;
+    o.post_scenario = [&](const ScenarioSpec& spec, const ScenarioRun&,
+                          ResultStore&, util::ThreadPool*) {
+      ++hook_calls;
+      if (spec.name == specs[1].name) throw std::runtime_error("injected");
+    };
+    EXPECT_THROW(run_campaign(specs, o), std::runtime_error);
+    const CampaignManifest manifest = ResultStore(out).load_manifest();
+    EXPECT_FALSE(manifest.scenarios[1].complete);
+    if (jobs == 1) {
+      // Spec order, and no new start after the failure.
+      EXPECT_EQ(hook_calls.load(), 2u);
+      EXPECT_TRUE(manifest.scenarios[0].complete);
+      EXPECT_FALSE(manifest.scenarios[2].complete);
+    }
+    const CampaignReport resumed = resume_campaign(out);
+    EXPECT_TRUE(resumed.complete);
+    expect_same_archives(specs, dir("clean"), out);
+  }
+}
+
+TEST_F(CampaignTest, JobsCapsScenariosInFlight) {
+  const auto specs = std::vector<ScenarioSpec>{
+      preset("hospital_ward_2"), preset("hospital_ward_3"), preset("all_cs_6"),
+      preset("hospital_ward_4")};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  CampaignOptions o = options(dir("a"));
+  o.jobs = 2;
+  o.threads = 2;
+  o.post_scenario = [&](const ScenarioSpec&, const ScenarioRun&, ResultStore&,
+                        util::ThreadPool*) {
+    const int now = ++in_flight;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    --in_flight;
+  };
+  const CampaignReport report = run_campaign(specs, o);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.executed, specs.size());
+  EXPECT_LE(peak.load(), 2);
+  EXPECT_GE(peak.load(), 1);
 }
 
 TEST_F(CampaignTest, RejectsEmptyAndDuplicateCampaigns) {

@@ -35,7 +35,7 @@ TEST(EventRingTest, ReadSinceReturnsOnlyNewerEventsInOrder) {
   EventRing ring(16);
   for (int i = 0; i < 5; ++i) {
     ring.publish(make_event(Kind::kGeneration, "job", "scen",
-                            "d" + std::to_string(i)));
+                            std::string("d").append(std::to_string(i))));
   }
   std::vector<Event> out;
   std::uint64_t dropped = 99;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace wsnex::util {
@@ -94,6 +95,10 @@ TEST(ThreadPool, RunTasksCoversEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> hits(37);
   pool.run_tasks(hits.size(), [&](std::size_t t) { hits[t].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // A single task runs on the calling thread, whatever the pool width.
+  std::thread::id ran_on;
+  pool.run_tasks(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
   // Single-worker pools run inline.
   ThreadPool one(1);
   std::vector<std::size_t> order;

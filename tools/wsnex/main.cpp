@@ -37,9 +37,11 @@
 #include <thread>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsp/prd_calibration.hpp"
@@ -78,7 +80,7 @@ int usage(std::FILE* to) {
                "  wsnex resume DIR [--threads N] [--jobs N] "
                "[--cache-dir DIR] [--abort-after N] [--validate] "
                "[--no-progress] [--trace PATH]\n"
-               "  wsnex report DIR [--metrics] [--convergence]\n"
+               "  wsnex report DIR [--metrics | --convergence]\n"
                "  wsnex watch DIR | wsnex watch --port N JOB_ID\n"
                "  wsnex export <preset>... -o DIR\n"
                "  wsnex simulate <spec.json|preset> [--duration S] "
@@ -205,9 +207,7 @@ std::string apps_summary(const scenario::ScenarioSpec& spec) {
 #endif
 
 /// Build + SIMD dispatch report: which ISA the kernel layer detected and
-/// which it actually runs on (they differ under WSNEX_FORCE_SCALAR), plus
-/// the reassociating-reduction gate state — the knobs that decide whether
-/// two runs of the same spec are byte-identical.
+/// which it actually runs on (they differ under WSNEX_FORCE_SCALAR).
 int cmd_version(const std::vector<std::string>& args) {
   namespace simd = util::simd;
   const bool as_json =
@@ -219,17 +219,15 @@ int cmd_version(const std::vector<std::string>& args) {
     dispatch.set("detected_isa", simd::isa_name(simd::detected_isa()));
     dispatch.set("active_isa", simd::isa_name(simd::active_isa()));
     dispatch.set("forced_scalar_env", simd::scalar_forced_by_env());
-    dispatch.set("reassociation", simd::reassociation_enabled());
     out.set("simd", std::move(dispatch));
     std::printf("%s\n", out.dump(2).c_str());
     return 0;
   }
   std::printf("wsnex %s\n", WSNEX_VERSION);
-  std::printf("simd: %s dispatched (detected %s%s), reassociation %s\n",
+  std::printf("simd: %s dispatched (detected %s%s)\n",
               simd::isa_name(simd::active_isa()),
               simd::isa_name(simd::detected_isa()),
-              simd::scalar_forced_by_env() ? ", WSNEX_FORCE_SCALAR set" : "",
-              simd::reassociation_enabled() ? "on" : "off (bit-identical)");
+              simd::scalar_forced_by_env() ? ", WSNEX_FORCE_SCALAR set" : "");
   return 0;
 }
 
@@ -297,7 +295,7 @@ struct CommonFlags {
   /// distinguishable from defaults.
   std::optional<std::size_t> replicates;
   std::optional<double> duration_s;
-  double tolerance_percent = 10.0;
+  std::optional<double> tolerance_percent;
   std::uint64_t seed = 1;
   bool ok = true;
 };
@@ -335,10 +333,25 @@ std::optional<double> parse_real(const std::string& value, const char* flag) {
   }
 }
 
-CommonFlags parse_flags(const std::vector<std::string>& args) {
+/// Parses `args` for `command`, which honours exactly the flags in
+/// `accepted` (`--out` is spelled `-o`); any other flag clears `ok` with
+/// a message.
+CommonFlags parse_flags(const std::vector<std::string>& args,
+                        const char* command,
+                        std::initializer_list<std::string_view> accepted) {
   CommonFlags flags;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
+    if (!a.empty() && a[0] == '-') {
+      const std::string_view flag = a == "--out" ? "-o" : std::string_view(a);
+      if (std::find(accepted.begin(), accepted.end(), flag) ==
+          accepted.end()) {
+        std::fprintf(stderr, "%s: unsupported option: %s\n", command,
+                     a.c_str());
+        flags.ok = false;
+        continue;
+      }
+    }
     const auto next_value = [&](const char* flag) -> std::optional<std::string> {
       if (i + 1 >= args.size()) {
         std::fprintf(stderr, "%s requires a value\n", flag);
@@ -392,7 +405,7 @@ CommonFlags parse_flags(const std::vector<std::string>& args) {
     } else if (a == "--tolerance") {
       if (const auto v = next_value("--tolerance")) {
         if (const auto t = parse_real(*v, "--tolerance")) {
-          flags.tolerance_percent = *t;
+          flags.tolerance_percent = t;
         } else {
           flags.ok = false;
         }
@@ -421,14 +434,24 @@ CommonFlags parse_flags(const std::vector<std::string>& args) {
           flags.ok = false;
         }
       }
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      flags.ok = false;
     } else {
       flags.positional.push_back(a);
     }
   }
   return flags;
+}
+
+/// run/resume: --replicates/--duration/--tolerance configure the
+/// --validate hook and mean nothing without it.
+bool hook_knobs_need_validate(const CommonFlags& flags, const char* command) {
+  if (flags.validate || (!flags.replicates && !flags.duration_s &&
+                         !flags.tolerance_percent)) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "%s: --replicates/--duration/--tolerance require --validate\n",
+               command);
+  return false;
 }
 
 /// Points the PRD calibration at the `--cache-dir` warm cache, as
@@ -502,13 +525,18 @@ validate::CampaignValidation campaign_validation(const CommonFlags& flags) {
   validate::CampaignValidation options;
   options.replicates = flags.replicates.value_or(options.replicates);
   options.duration_s = flags.duration_s.value_or(options.duration_s);
-  options.tolerance_percent = flags.tolerance_percent;
+  options.tolerance_percent =
+      flags.tolerance_percent.value_or(options.tolerance_percent);
   return options;
 }
 
 int cmd_run(const std::vector<std::string>& args) {
-  CommonFlags flags = parse_flags(args);
-  if (!flags.ok) return 2;
+  const CommonFlags flags = parse_flags(
+      args, "run",
+      {"-o", "--quick", "--threads", "--jobs", "--cache-dir", "--abort-after",
+       "--validate", "--no-progress", "--trace", "--replicates", "--duration",
+       "--tolerance"});
+  if (!flags.ok || !hook_knobs_need_validate(flags, "run")) return 2;
   if (flags.positional.empty()) {
     std::fprintf(stderr, "run: no scenarios given (try `wsnex list`)\n");
     return 2;
@@ -542,8 +570,12 @@ int cmd_run(const std::vector<std::string>& args) {
 }
 
 int cmd_resume(const std::vector<std::string>& args) {
-  CommonFlags flags = parse_flags(args);
-  if (!flags.ok) return 2;
+  const CommonFlags flags = parse_flags(
+      args, "resume",
+      {"--threads", "--jobs", "--cache-dir", "--abort-after", "--validate",
+       "--no-progress", "--trace", "--replicates", "--duration",
+       "--tolerance"});
+  if (!flags.ok || !hook_knobs_need_validate(flags, "resume")) return 2;
   if (flags.positional.size() != 1) {
     std::fprintf(stderr, "resume: exactly one campaign directory expected\n");
     return 2;
@@ -569,20 +601,12 @@ int cmd_resume(const std::vector<std::string>& args) {
 /// per-node model-vs-simulation comparison the Section 5.1 experiment
 /// prints.
 int cmd_simulate(const std::vector<std::string>& args) {
-  CommonFlags flags = parse_flags(args);
+  const CommonFlags flags = parse_flags(
+      args, "simulate", {"--duration", "--seed", "--cache-dir"});
   if (!flags.ok) return 2;
   if (flags.positional.size() != 1) {
     std::fprintf(stderr, "simulate: exactly one spec expected\n");
     return 2;
-  }
-  // parse_flags accepts the whole common flag set; surface the ones this
-  // command cannot honor instead of silently dropping them.
-  if (flags.replicates.has_value() || !flags.out_dir.empty() ||
-      flags.validate || flags.quick) {
-    std::fprintf(stderr,
-                 "simulate: ignoring --replicates/-o/--validate/--quick "
-                 "(one replay, nothing persisted — use `wsnex validate` for "
-                 "replicated, persisted runs)\n");
   }
   use_prd_cache_dir(flags);
   const scenario::ScenarioSpec spec = load_spec_arg(flags.positional.front());
@@ -679,7 +703,10 @@ void print_validation_report(const validate::ValidationReport& report) {
 
 /// Monte Carlo model validation (the Section 5 experiment, replicated).
 int cmd_validate(const std::vector<std::string>& args) {
-  CommonFlags flags = parse_flags(args);
+  const CommonFlags flags = parse_flags(
+      args, "validate",
+      {"-o", "--replicates", "--jobs", "--tolerance", "--duration", "--seed",
+       "--cache-dir"});
   if (!flags.ok) return 2;
   if (flags.positional.empty()) {
     std::fprintf(stderr, "validate: no scenarios given (try `wsnex list`)\n");
@@ -696,7 +723,8 @@ int cmd_validate(const std::vector<std::string>& args) {
     options.plan.jobs = flags.jobs;
     options.plan.duration_s = flags.duration_s.value_or(120.0);
     options.plan.base_seed = flags.seed;
-    options.tolerance_percent = flags.tolerance_percent;
+    options.tolerance_percent =
+        flags.tolerance_percent.value_or(options.tolerance_percent);
     const validate::ValidationReport report =
         validate::run_validation(spec, options);
     print_validation_report(report);
@@ -880,8 +908,14 @@ int report_metrics(const scenario::ResultStore& store,
 }
 
 int cmd_report(const std::vector<std::string>& args) {
-  CommonFlags flags = parse_flags(args);
+  const CommonFlags flags =
+      parse_flags(args, "report", {"--metrics", "--convergence"});
   if (!flags.ok) return 2;
+  if (flags.metrics && flags.convergence) {
+    std::fprintf(stderr, "report: --metrics and --convergence are separate "
+                         "reports; pass one\n");
+    return 2;
+  }
   if (flags.positional.size() != 1) {
     std::fprintf(stderr, "report: exactly one campaign directory expected\n");
     return 2;
@@ -936,7 +970,7 @@ int cmd_report(const std::vector<std::string>& args) {
 }
 
 int cmd_export(const std::vector<std::string>& args) {
-  CommonFlags flags = parse_flags(args);
+  const CommonFlags flags = parse_flags(args, "export", {"-o"});
   if (!flags.ok) return 2;
   if (flags.out_dir.empty()) {
     std::fprintf(stderr, "export: -o/--out DIR is required\n");
