@@ -3,8 +3,10 @@
 namespace wsnex::sim {
 
 void Engine::run_until(SimTime t_end) {
-  while (!queue_.empty() && queue_.next_time() <= t_end) {
-    now_ = queue_.next_time();
+  while (!queue_.empty()) {
+    const SimTime at = queue_.next_time();
+    if (at > t_end) break;
+    now_ = at;
     queue_.run_next();
     ++events_executed_;
   }

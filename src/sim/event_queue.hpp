@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 namespace wsnex::sim {
@@ -11,28 +10,40 @@ namespace wsnex::sim {
 /// Simulation time in seconds.
 using SimTime = double;
 
-/// Time-ordered callback queue. Events at equal times fire in insertion
-/// order (a monotonically increasing sequence number breaks ties), which
-/// keeps runs deterministic.
+/// Time-ordered callback queue. Events fire in (at, seq) order: by time,
+/// then by a sequence number issued per schedule() call, so events at
+/// equal times fire in insertion order and runs are deterministic.
 ///
-/// Cancellation is lazy — a cancelled entry stays in the heap as a
-/// tombstone until it either surfaces at the top or a compaction pass
-/// rebuilds the heap. Compaction triggers whenever tombstones outnumber
-/// live entries, so the heap never holds more than 2 * size() + 1
-/// entries: cancel-heavy simulations stay bounded instead of growing
-/// with the total number of cancellations.
+/// The binary heap holds 24-byte, trivially copyable {at, seq, id}
+/// entries. Callbacks live in a table of slots that a free list recycles,
+/// so a warmed-up queue schedules, cancels and runs events without
+/// allocating (a std::function whose capture exceeds its local buffer
+/// still allocates for itself). An id is `generation << 32 | slot`, and
+/// generations start at 1, so 0 is never issued and stays free for
+/// callers to mean "no event". A heap entry is live iff its slot still
+/// holds its id: cancel() and run_next() free the slot at once, which
+/// turns the stale heap entry and any later use of the id into no-ops. A
+/// stale id can alias a newer event only after 2^32 reuses of its slot,
+/// so callers cancel only events they know are pending.
+///
+/// A cancelled entry stays in the heap as a tombstone until it surfaces
+/// at the top or a compaction pass rebuilds the heap. Compaction triggers
+/// whenever tombstones outnumber live events, so the heap never holds
+/// more than 2 * size() + 1 entries: cancel-heavy simulations stay
+/// bounded instead of growing with the total number of cancellations.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Schedules `fn` at absolute time `at`. Returns an id usable to cancel.
+  /// Schedules `fn` at absolute time `at`. Returns an id usable to cancel;
+  /// never 0.
   std::uint64_t schedule(SimTime at, Callback fn);
 
   /// Cancels a scheduled event; a no-op if already fired or cancelled.
   void cancel(std::uint64_t id);
 
-  bool empty() const { return live_.empty(); }
-  std::size_t size() const { return live_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
 
   /// Entries physically held (live + tombstones) — bounded by
   /// 2 * size() + 1. Exposed for diagnostics and the compaction tests.
@@ -49,7 +60,6 @@ class EventQueue {
     SimTime at;
     std::uint64_t seq;
     std::uint64_t id;
-    Callback fn;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -57,8 +67,19 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+  struct Slot {
+    std::uint64_t id = 0;          // id of the pending event here; 0 if free
+    std::uint32_t generation = 0;  // generation of the last id issued here
+    Callback fn;
+  };
 
-  bool is_live(const Entry& e) const { return live_.contains(e.id); }
+  static std::uint32_t slot_of(std::uint64_t id) {
+    return static_cast<std::uint32_t>(id);
+  }
+  bool is_live(const Entry& e) const {
+    return slots_[slot_of(e.id)].id == e.id;
+  }
+  void release(std::uint32_t slot) noexcept;
   void drop_cancelled() const;
   void compact();
 
@@ -67,9 +88,12 @@ class EventQueue {
   // rest of the queue, the const accessors are NOT safe to call
   // concurrently with anything else.
   mutable std::vector<Entry> heap_;  // std::push_heap/pop_heap with Later
-  std::unordered_set<std::uint64_t> live_;  // scheduled and not cancelled
+  std::vector<Slot> slots_;
+  // Free slot indices, reused last-in first-out. Its capacity never falls
+  // below slots_.size(), so release() does not allocate.
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;  // scheduled and neither fired nor cancelled
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   mutable std::size_t tombstones_ = 0;  // cancelled entries still in heap_
 };
 

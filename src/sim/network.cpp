@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/clock.hpp"
@@ -21,6 +22,10 @@ NetworkResult run_network(const NetworkScenario& scenario) {
   if (!scenario.node_fer.empty() &&
       scenario.node_fer.size() != scenario.traffic.size()) {
     throw std::invalid_argument("run_network: node_fer size mismatch");
+  }
+  if (!std::isfinite(scenario.duration_s) || !(scenario.duration_s > 0.0)) {
+    throw std::invalid_argument(
+        "run_network: duration_s must be finite and > 0");
   }
   const std::size_t n = scenario.traffic.size();
 

@@ -83,7 +83,8 @@ struct NetworkResult {
 
 /// Builds the star network described by `scenario`, runs it and collects
 /// the results. Throws std::invalid_argument on malformed scenarios
-/// (traffic size mismatch, invalid MAC configuration).
+/// (traffic size mismatch, invalid MAC configuration, a duration that is
+/// not finite and positive).
 NetworkResult run_network(const NetworkScenario& scenario);
 
 }  // namespace wsnex::sim

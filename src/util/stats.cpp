@@ -137,10 +137,15 @@ double population_stddev(std::span<const double> xs) {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  assert(p >= 0.0 && p <= 100.0);
-  if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  assert(p >= 0.0 && p <= 100.0);
+  assert(std::is_sorted(sorted.begin(), sorted.end()));
+  if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);

@@ -66,6 +66,10 @@ double population_stddev(std::span<const double> xs);
 /// Linearly interpolated percentile, p in [0, 100]. Sorts a copy.
 double percentile(std::span<const double> xs, double p);
 
+/// percentile() of values already sorted ascending: no copy, no sort, so
+/// several percentiles of one sample cost one sort.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 double min_value(std::span<const double> xs);
 double max_value(std::span<const double> xs);
 

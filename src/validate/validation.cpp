@@ -46,10 +46,13 @@ ReplicateMetrics extract_metrics(
   for (const sim::FrameDelivery& d : result.deliveries) {
     latencies.push_back(d.latency_s);
   }
+  // The mean sums in delivery order (that order is part of the bytes);
+  // the order statistics then read one sorted copy.
   m.latency_mean_s = util::mean(latencies);
-  m.latency_p95_s = util::percentile(latencies, 95.0);
-  m.latency_p99_s = util::percentile(latencies, 99.0);
-  m.latency_max_s = util::max_value(latencies);
+  std::sort(latencies.begin(), latencies.end());
+  m.latency_p95_s = util::percentile_sorted(latencies, 95.0);
+  m.latency_p99_s = util::percentile_sorted(latencies, 99.0);
+  m.latency_max_s = util::percentile_sorted(latencies, 100.0);
 
   std::uint64_t enqueued = 0, dropped = 0, sent = 0, retries = 0;
   std::uint64_t csma_attempts = 0, csma_failures = 0;
@@ -214,8 +217,12 @@ ValidationReport run_validation(const scenario::ScenarioSpec& spec,
   if (plan.replicates == 0) {
     throw ValidationError("replication plan needs at least one replicate");
   }
-  if (!(plan.duration_s > 0.0)) {
-    throw ValidationError("replicate duration must be > 0 s");
+  if (!std::isfinite(plan.duration_s) || !(plan.duration_s > 0.0)) {
+    throw ValidationError("replicate duration must be finite and > 0 s");
+  }
+  if (!std::isfinite(options.tolerance_percent) ||
+      options.tolerance_percent < 0.0) {
+    throw ValidationError("tolerance must be finite and >= 0 %");
   }
 
   const auto evaluator =

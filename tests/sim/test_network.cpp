@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <ostream>
 #include <set>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 namespace wsnex::sim {
 namespace {
@@ -155,6 +160,128 @@ TEST(Network, RejectsMalformedScenarios) {
   NetworkScenario bad_mac = nominal_scenario();
   bad_mac.mac.gts_slots = {2, 2, 2, 2, 0, 0};  // 8 GTS slots > 7
   EXPECT_THROW(run_network(bad_mac), std::invalid_argument);
+
+  // A horizon that is not finite and positive would never end the run
+  // (infinity) or yield no result worth having.
+  for (const double duration :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    NetworkScenario bad_duration = nominal_scenario();
+    bad_duration.duration_s = duration;
+    EXPECT_THROW(run_network(bad_duration), std::invalid_argument)
+        << duration;
+  }
+}
+
+/// FNV-1a over 64-bit words, low byte first.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Everything a replay exposes about its event trace, folded into exact
+/// integers: a change in firing order moves at least one of them.
+struct Trace {
+  std::uint64_t events_executed = 0;
+  std::uint64_t beacons_sent = 0;
+  std::uint64_t data_frames_received = 0;
+  std::uint64_t duplicate_frames_received = 0;
+  std::uint64_t channel_collisions = 0;
+  std::uint64_t channel_drops = 0;
+  std::uint64_t bad_state_frames = 0;
+  std::uint64_t node_counters_digest = 0;  ///< every NodeCounters field
+  std::uint64_t deliveries = 0;
+  std::uint64_t deliveries_digest = 0;  ///< (node, seq, latency bits)
+
+  bool operator==(const Trace&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Trace& t) {
+  return os << "Trace{" << t.events_executed << ", " << t.beacons_sent
+            << ", " << t.data_frames_received << ", "
+            << t.duplicate_frames_received << ", " << t.channel_collisions
+            << ", " << t.channel_drops << ", " << t.bad_state_frames
+            << ", 0x" << std::hex << t.node_counters_digest << std::dec
+            << "ULL, " << t.deliveries << ", 0x" << std::hex
+            << t.deliveries_digest << std::dec << "ULL}";
+}
+
+Trace trace_of(const NetworkResult& r) {
+  Trace t;
+  t.events_executed = r.events_executed;
+  t.beacons_sent = r.beacons_sent;
+  t.data_frames_received = r.data_frames_received;
+  t.duplicate_frames_received = r.duplicate_frames_received;
+  t.channel_collisions = r.channel_collisions;
+  t.channel_drops = r.channel_drops;
+  t.bad_state_frames = r.bad_state_frames;
+  Fnv1a counters;
+  for (const NodeResult& n : r.nodes) {
+    const NodeCounters& c = n.counters;
+    for (const std::uint64_t v :
+         {c.frames_enqueued, c.frames_acked, c.frames_sent, c.retries,
+          c.frames_dropped, c.tx_mac_bytes, c.rx_mac_bytes, c.rx_frames,
+          c.tx_frames_on_air, c.gts_windows, c.csma_attempts,
+          c.csma_busy_cca, c.csma_failures,
+          std::uint64_t{c.max_queue_frames},
+          std::uint64_t{n.residual_queue_frames}}) {
+      counters.add(v);
+    }
+  }
+  t.node_counters_digest = counters.value();
+  Fnv1a deliveries;
+  for (const FrameDelivery& d : r.deliveries) {
+    deliveries.add(d.node);
+    deliveries.add(d.seq);
+    deliveries.add(std::bit_cast<std::uint64_t>(d.latency_s));
+  }
+  t.deliveries = r.deliveries.size();
+  t.deliveries_digest = deliveries.value();
+  return t;
+}
+
+// Golden event traces, recorded before the event queue's liveness check
+// moved from a hash set to generation-stamped slots: the (at, seq) firing
+// order is the contract, so any queue change must reproduce them exactly.
+TEST(Network, GoldenTracesPinFiringOrder) {
+  NetworkScenario tdma = nominal_scenario();
+  tdma.seed = 7;
+
+  NetworkScenario burst = nominal_scenario();
+  burst.burst = BurstErrorModel{0.01, 0.5, 0.02, 0.2};
+  burst.node_fer = {0.0, 0.02, 0.05, 0.0, 0.1, 0.01};
+  burst.duration_s = 120.0;
+  burst.seed = 11;
+
+  NetworkScenario csma;
+  csma.mac.payload_bytes = 64;
+  csma.mac.bco = 6;
+  csma.mac.sfo = 5;
+  csma.mac.gts_slots.assign(6, 0);
+  csma.traffic.assign(6, NodeTraffic{109.0, 1.024});
+  csma.access.assign(6, AccessMode::kCsma);
+  csma.frame_error_rate = 0.02;
+  csma.duration_s = 120.0;
+  csma.seed = 3;
+
+  EXPECT_EQ(trace_of(run_network(tdma)),
+            (Trace{2412, 62, 526, 0, 0, 0, 0, 0x15cb0357b75142e1ULL, 526,
+                   0x2c594fd17d459299ULL}));
+  EXPECT_EQ(trace_of(run_network(burst)),
+            (Trace{5126, 123, 1067, 48, 0, 190, 254, 0xa9908cf006c26dacULL,
+                   1067, 0x920802b1fd2239f5ULL}));
+  EXPECT_EQ(trace_of(run_network(csma)),
+            (Trace{8893, 123, 1215, 27, 87, 39, 0, 0xcbe30e4b5f7d6020ULL,
+                   1215, 0x211c7b3e3ff91470ULL}));
 }
 
 TEST(Network, DeterministicAcrossRuns) {

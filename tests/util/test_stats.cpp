@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -108,6 +109,17 @@ TEST(Stats, PercentileUnsortedInput) {
   const std::vector<double> xs{40.0, 10.0, 30.0, 20.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 40.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 10.0);
+}
+
+TEST(Stats, PercentileSortedMatchesPercentile) {
+  const std::vector<double> xs{0.7, 0.1, 0.9, 0.3, 0.3, 0.5, 0.2};
+  std::vector<double> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double p : {0.0, 12.5, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(percentile_sorted(sorted, p), percentile(xs, p)) << p;
+  }
+  EXPECT_EQ(percentile_sorted(sorted, 100.0), max_value(xs));
+  EXPECT_EQ(percentile_sorted({}, 95.0), 0.0);
 }
 
 TEST(Stats, Rms) {

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -278,6 +279,23 @@ TEST(RunValidation, RejectsDegeneratePlans) {
   no_duration.plan.duration_s = 0.0;
   EXPECT_THROW(run_validation(small_spec(), no_replicates), ValidationError);
   EXPECT_THROW(run_validation(small_spec(), no_duration), ValidationError);
+
+  // Non-finite numbers fail up front: an infinite horizon would never
+  // end, and an infinite tolerance would only fail at serialization.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double duration : {kInf, kNaN, -1.0}) {
+    ValidationOptions options = quick_options();
+    options.plan.duration_s = duration;
+    EXPECT_THROW(run_validation(small_spec(), options), ValidationError)
+        << duration;
+  }
+  for (const double tolerance : {kInf, kNaN, -1.0}) {
+    ValidationOptions options = quick_options();
+    options.tolerance_percent = tolerance;
+    EXPECT_THROW(run_validation(small_spec(), options), ValidationError)
+        << tolerance;
+  }
 }
 
 TEST(Persistence, WritesJsonAndCsvIntoResultStore) {

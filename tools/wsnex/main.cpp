@@ -63,6 +63,8 @@
 namespace {
 
 using namespace wsnex;
+using cli::parse_count;
+using cli::parse_real;
 
 int usage(std::FILE* to) {
   std::fprintf(to,
@@ -299,39 +301,6 @@ struct CommonFlags {
   std::uint64_t seed = 1;
   bool ok = true;
 };
-
-/// Strict non-negative integer flag value; rejects "-1", "abc", "3x".
-std::optional<std::size_t> parse_count(const std::string& value,
-                                       const char* flag) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr, "%s expects a non-negative integer, got \"%s\"\n",
-                 flag, value.c_str());
-    return std::nullopt;
-  }
-  try {
-    return static_cast<std::size_t>(std::stoull(value));
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "%s value out of range: %s\n", flag, value.c_str());
-    return std::nullopt;
-  }
-}
-
-/// Strict positive real flag value.
-std::optional<double> parse_real(const std::string& value, const char* flag) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || !(v > 0.0)) {
-      throw std::invalid_argument(value);
-    }
-    return v;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "%s expects a positive number, got \"%s\"\n", flag,
-                 value.c_str());
-    return std::nullopt;
-  }
-}
 
 /// Parses `args` for `command`, which honours exactly the flags in
 /// `accepted` (`--out` is spelled `-o`); any other flag clears `ok` with

@@ -1,6 +1,7 @@
 #include "serve_commands.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -8,6 +9,8 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "scenario/registry.hpp"
@@ -34,8 +37,8 @@ constexpr serve::RetryPolicy kCliRetry{/*max_attempts=*/3,
                                        /*base_delay_ms=*/100,
                                        /*max_delay_ms=*/2000};
 
-/// Strict non-negative integer flag value (same contract as main.cpp's
-/// campaign flag parser).
+}  // namespace
+
 std::optional<std::size_t> parse_count(const std::string& value,
                                        const char* flag) {
   if (value.empty() ||
@@ -56,16 +59,18 @@ std::optional<double> parse_real(const std::string& value, const char* flag) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(value, &pos);
-    if (pos != value.size() || !(v > 0.0)) {
+    if (pos != value.size() || !std::isfinite(v) || !(v > 0.0)) {
       throw std::invalid_argument(value);
     }
     return v;
   } catch (const std::exception&) {
-    std::fprintf(stderr, "%s expects a positive number, got \"%s\"\n", flag,
-                 value.c_str());
+    std::fprintf(stderr, "%s expects a finite positive number, got \"%s\"\n",
+                 flag, value.c_str());
     return std::nullopt;
   }
 }
+
+namespace {
 
 /// File path -> parsed spec; otherwise a registry preset name (the same
 /// resolution `wsnex run` applies).
