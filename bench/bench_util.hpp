@@ -8,10 +8,10 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 
+#include "util/clock.hpp"
 #include "util/json.hpp"
 
 namespace wsnex::bench {
@@ -55,22 +55,15 @@ util::Json provenance();
 /// header fields.
 void fprint_provenance(std::FILE* sink);
 
-/// Monotonic wall-clock seconds.
-inline double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Best-of-`reps` wall time of fn() — the drivers' standard way to shave
 /// scheduler noise off a measurement.
 template <typename Fn>
 double best_of(int reps, Fn&& fn) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
+    const double t0 = util::now_s();
     fn();
-    best = std::min(best, now_s() - t0);
+    best = std::min(best, util::now_s() - t0);
   }
   return best;
 }

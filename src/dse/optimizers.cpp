@@ -202,17 +202,7 @@ void notify_progress(const ProgressSink& sink, std::size_t generation,
   ProgressSnapshot snap;
   snap.generation = generation;
   snap.evaluations = result.evaluations;
-  snap.infeasible = result.infeasible_count;
   snap.archive_size = result.archive.size();
-  snap.objective_count = result.archive.arity();
-  const std::vector<double>& flat = result.archive.objectives_flat();
-  const std::size_t m = snap.objective_count;
-  for (std::size_t i = 0; i < snap.archive_size; ++i) {
-    const double* row = flat.data() + i * m;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (i == 0 || row[k] < snap.best[k]) snap.best[k] = row[k];
-    }
-  }
   snap.elapsed_s = watch.elapsed_s();
   snap.evals_per_s = snap.elapsed_s > 1e-9
                          ? static_cast<double>(result.evaluations) /

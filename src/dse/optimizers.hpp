@@ -34,25 +34,23 @@ struct DseResult {
 };
 
 /// Read-only view of a run's state handed to a ProgressSink at each point
-/// of the snapshot cadence (see ProgressSink). Everything in here is a copy
-/// except `archive`, which points at the live archive and is valid only
-/// for the duration of the callback.
+/// of the snapshot cadence (see ProgressSink): the run's counters plus the
+/// live archive, from which a sink derives anything else it reports (the
+/// campaign sink turns each snapshot into one util::events `generation`
+/// event with the feasible count and hypervolume). Everything in here is
+/// a copy except `archive`, which is valid only for the duration of the
+/// callback.
 struct ProgressSnapshot {
   /// NSGA-II: generation index (0 is the evaluated initial population).
   /// MOSA: iterations completed (0 is the feasible start point); at
   /// threads 1 this is also the index of the speculative batch round.
   std::size_t generation = 0;
   std::size_t evaluations = 0;  ///< objective calls issued so far
-  std::size_t infeasible = 0;   ///< infeasible designs rejected so far
   std::size_t archive_size = 0;
-  /// Ideal point: per-objective minima over the archive (undefined entries
-  /// beyond `objective_count`; all zero when the archive is empty).
-  double best[kMaxObjectives] = {};
-  std::size_t objective_count = 0;
-  double elapsed_s = 0.0;
+  double elapsed_s = 0.0;    ///< seconds since the optimizer started
   double evals_per_s = 0.0;  ///< evaluations / elapsed_s (0 while elapsed ~ 0)
-  /// Live archive, for derived statistics (hypervolume, feasible counts).
-  /// Do not retain past the callback.
+  /// Live archive (never null); its arity() is the objective count. Do
+  /// not retain past the callback.
   const ParetoArchive* archive = nullptr;
 };
 

@@ -157,82 +157,66 @@ util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
 /// sink runs on the scenario's own task thread, so no locking is needed;
 /// the shared_ptr only extends lifetime into the capturing lambda).
 struct ConvergenceState {
-  std::ofstream out;  ///< progress.jsonl stream (closed when disabled)
+  util::events::Event event;  ///< kGeneration template: job and scenario set
+  std::ofstream out;          ///< progress.jsonl stream (closed when disabled)
+  std::uint64_t records = 0;  ///< records written to `out` so far
+  util::events::EventRing* events = nullptr;
   dse::Objectives reference;
   ClinicalConstraints constraints;
-  std::string scenario;
-  std::string job_id;
-  util::events::EventRing* events = nullptr;
   dse::Hypervolume3Scratch scratch;
 };
 
-/// Builds the convergence observer for one scenario: a
-/// progress.jsonl line (flushed, so the file tails live) and/or an event
-/// published into the campaign's ring. Returns an empty sink when both
+/// Builds the convergence observer for one scenario: each snapshot becomes
+/// one `generation` event, published into the campaign's ring and/or
+/// appended to progress.jsonl as its util::events JSON (flushed, so the
+/// file tails live). Ring and file carry the same record apart from `seq`
+/// and `t`: in the file, `seq` numbers the file's records from 1 and `t`
+/// is the optimizer's elapsed seconds. Returns an empty sink when both
 /// outputs are disabled. Strictly read-only w.r.t. the optimizer run.
 dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
                                         const CampaignOptions& options,
                                         ResultStore& store) {
   if (!options.progress && options.events == nullptr) return {};
   auto state = std::make_shared<ConvergenceState>();
+  state->event = util::events::make_event(util::events::Kind::kGeneration,
+                                          options.event_job_id, spec.name, "");
+  state->events = options.events;
   state->reference = hv_reference_point(spec);
   state->constraints = spec.constraints;
-  state->scenario = spec.name;
-  state->job_id = options.event_job_id;
-  state->events = options.events;
   if (options.progress) {
     store.ensure_result_dir(spec.name);
     state->out.open(store.progress_jsonl_path(spec.name),
                     std::ios::out | std::ios::trunc);
   }
   return [state](const dse::ProgressSnapshot& snap) {
-    // Clinically feasible members of the current archive. Arity is 3 for
-    // every campaign objective; guard anyway so a 2-objective adapter run
-    // degrades to zeros instead of reading out of bounds.
-    std::size_t feasible = 0;
-    double hv = 0.0;
-    if (snap.objective_count == 3 && snap.archive != nullptr) {
-      for (const dse::ArchiveEntry& e : snap.archive->entries()) {
-        if (e.objectives[1] <= state->constraints.max_prd_percent &&
-            e.objectives[2] <= state->constraints.max_delay_s) {
-          ++feasible;
+    util::events::Event e = state->event;
+    e.generation = snap.generation;
+    e.evaluations = snap.evaluations;
+    e.archive_size = snap.archive_size;
+    e.evals_per_s = snap.evals_per_s;
+    // Clinically feasible members and hypervolume of the current archive.
+    // Arity is 3 for every campaign objective; guard anyway so a
+    // 2-objective adapter run degrades to zeros instead of reading out of
+    // bounds.
+    const dse::ParetoArchive& archive = *snap.archive;
+    if (archive.arity() == 3) {
+      for (const dse::ArchiveEntry& entry : archive.entries()) {
+        if (entry.objectives[1] <= state->constraints.max_prd_percent &&
+            entry.objectives[2] <= state->constraints.max_delay_s) {
+          ++e.feasible;
         }
       }
-      hv = dse::hypervolume3_flat(snap.archive->objectives_flat().data(),
-                                  snap.archive->size(), 3,
-                                  state->reference.data(), state->scratch);
+      e.hypervolume = dse::hypervolume3_flat(archive.objectives_flat().data(),
+                                             archive.size(), 3,
+                                             state->reference.data(),
+                                             state->scratch);
     }
+    if (state->events != nullptr) state->events->publish(e);
     if (state->out.is_open()) {
-      util::Json line = util::Json::object();
-      line.set("scenario", state->scenario);
-      line.set("generation", snap.generation);
-      line.set("evaluations", snap.evaluations);
-      line.set("infeasible", snap.infeasible);
-      line.set("archive_size", snap.archive_size);
-      line.set("feasible", feasible);
-      if (snap.objective_count == 3 && snap.archive_size > 0) {
-        util::Json best = util::Json::object();
-        best.set("e_net_mj_per_s", snap.best[0]);
-        best.set("prd_net_percent", snap.best[1]);
-        best.set("d_net_s", snap.best[2]);
-        line.set("best", std::move(best));
-      }
-      line.set("hypervolume", hv);
-      line.set("elapsed_s", snap.elapsed_s);
-      line.set("evals_per_s", snap.evals_per_s);
-      state->out << line.dump() << '\n';
+      e.seq = ++state->records;
+      e.time_s = snap.elapsed_s;
+      state->out << util::events::event_to_json(e).dump() << '\n';
       state->out.flush();
-    }
-    if (state->events != nullptr) {
-      util::events::Event e = util::events::make_event(
-          util::events::Kind::kGeneration, state->job_id, state->scenario, "");
-      e.generation = snap.generation;
-      e.evaluations = snap.evaluations;
-      e.archive_size = snap.archive_size;
-      e.feasible = feasible;
-      e.hypervolume = hv;
-      e.evals_per_s = snap.evals_per_s;
-      state->events->publish(e);
     }
   };
 }

@@ -136,17 +136,21 @@ struct CampaignOptions {
   /// no disk cache.
   std::string cache_dir;
   /// Convergence telemetry (`wsnex run`, default on; `--no-progress`
-  /// disables): each executed scenario streams a progress record —
-  /// evaluations, archive size, feasible count, ideal point, hypervolume
-  /// w.r.t. hv_reference_point() — on the optimizer's snapshot cadence
-  /// (dse::ProgressSink: at most ~66 per run) to
-  /// results/<name>/progress.jsonl, one JSON object per line, flushed per
-  /// record so the file can be tailed live. Strictly observational:
+  /// disables): on the optimizer's snapshot cadence (dse::ProgressSink: at
+  /// most ~66 per run) each executed scenario appends one util::events
+  /// `generation` event — evaluations, archive size, feasible count,
+  /// hypervolume w.r.t. hv_reference_point() — to
+  /// results/<name>/progress.jsonl as util::events::event_to_json, one
+  /// object per line, flushed per record so the file can be tailed live.
+  /// There `seq` numbers the file's records from 1 and `t` is the
+  /// optimizer's elapsed seconds; otherwise each record equals the event
+  /// published into `events`. Strictly observational:
   /// pareto.csv/feasible.csv stay byte-identical either way (CI cmps this).
   bool progress = true;
-  /// Optional event ring: scenario lifecycle and generation-progress
-  /// events are published here (the serve scheduler passes each job's
-  /// ring). Not owned; must outlive the campaign. Null = no events.
+  /// Optional event ring: scenario lifecycle events and the same
+  /// `generation` events progress.jsonl records are published here (the
+  /// serve scheduler passes each job's ring). Not owned; must outlive the
+  /// campaign. Null = no events.
   util::events::EventRing* events = nullptr;
   /// Job id stamped into published events (serve mode; empty otherwise).
   std::string event_job_id;

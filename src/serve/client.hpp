@@ -1,6 +1,7 @@
 // Thin typed client for the campaign service API — the single HTTP code
-// path shared by the wsnex submit/status/results/cancel subcommands, the
-// integration tests and bench_serve_throughput, so they all exercise the
+// path shared by the wsnex submit/status/results/cancel/watch
+// subcommands, the integration tests and the repository benchmark's
+// `serve` workload (wsnbench/ATTRIBUTION.md), so they all exercise the
 // same wire behavior (one exchange per connection, strict JSON bodies).
 #pragma once
 

@@ -319,5 +319,56 @@ TEST_F(ServeE2eTest, KilledDaemonsResumeToByteIdenticalResults) {
   }
 }
 
+/// Runs `wsnex args...` with its output discarded and returns its exit
+/// code, or -1 when it had to be killed after `timeout_s`.
+int run_wsnex(const std::vector<std::string>& args, int timeout_s) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null = ::open("/dev/null", O_WRONLY);
+    if (null >= 0) {
+      ::dup2(null, STDOUT_FILENO);
+      ::dup2(null, STDERR_FILENO);
+    }
+    std::vector<char*> argv{const_cast<char*>(WSNEX_BIN)};
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv(WSNEX_BIN, argv.data());
+    _exit(127);  // exec failed
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(timeout_s);
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// Every serve-layer verb exits 2 on a flag it does not honour, before it
+// boots a daemon (which would run until killed) or connects (nothing
+// listens on port 1, so a verb that got that far exits 1).
+TEST_F(ServeE2eTest, VerbsRejectFlagsTheyDoNotHonour) {
+  fs::create_directories(root_);
+  const std::vector<std::vector<std::string>> cases = {
+      {"serve", "--data", (root_ / "data").string(), "--wait", "--priority",
+       "3"},
+      {"submit", "--port", "1", "hospital_ward_2", "--slots", "4"},
+      {"status", "--port", "1", "--quick"},
+      {"results", "--port", "1", "job-1", "--json"},
+      {"cancel", "--port", "1", "job-1", "--id", "job-2"},
+      {"watch", root_.string(), "--slots", "4"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    EXPECT_EQ(run_wsnex(args, 10), 2) << args.front();
+  }
+}
+
 }  // namespace
 }  // namespace wsnex::serve

@@ -34,14 +34,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "dsp/prd_calibration.hpp"
@@ -58,13 +55,15 @@
 #include "util/trace.hpp"
 #include "validate/validation.hpp"
 
+#include "flags.hpp"
 #include "serve_commands.hpp"
 
 namespace {
 
 using namespace wsnex;
-using cli::parse_count;
-using cli::parse_real;
+using cli::CommonFlags;
+using cli::load_spec_arg;
+using cli::parse_flags;
 
 int usage(std::FILE* to) {
   std::fprintf(to,
@@ -180,18 +179,6 @@ int usage(std::FILE* to) {
   return to == stdout ? 0 : 2;
 }
 
-/// File path -> parsed spec; otherwise a registry preset name.
-scenario::ScenarioSpec load_spec_arg(const std::string& arg) {
-  if (std::filesystem::exists(arg)) {
-    return scenario::ScenarioSpec::from_file(arg);
-  }
-  if (arg.ends_with(".json")) {
-    // Clearly meant as a file; a registry lookup error would mislead.
-    throw scenario::ScenarioError("cannot open scenario file: " + arg);
-  }
-  return scenario::preset(arg);  // throws listing the known presets
-}
-
 std::string apps_summary(const scenario::ScenarioSpec& spec) {
   const auto apps = spec.apps.empty()
                         ? dse::DesignSpaceConfig::case_study(spec.node_count).apps
@@ -277,137 +264,6 @@ int cmd_check(const std::vector<std::string>& args) {
     }
   }
   return failures == 0 ? 0 : 1;
-}
-
-struct CommonFlags {
-  std::vector<std::string> positional;
-  std::string out_dir;
-  std::string cache_dir;
-  std::string trace_path;
-  bool metrics = false;
-  bool convergence = false;
-  bool no_progress = false;
-  bool quick = false;
-  std::optional<std::size_t> threads;
-  std::size_t jobs = 1;
-  std::size_t abort_after = 0;
-  bool validate = false;
-  /// Unset means "the command's default" — standalone validate and the
-  /// campaign hook default differently, so explicit values must stay
-  /// distinguishable from defaults.
-  std::optional<std::size_t> replicates;
-  std::optional<double> duration_s;
-  std::optional<double> tolerance_percent;
-  std::uint64_t seed = 1;
-  bool ok = true;
-};
-
-/// Parses `args` for `command`, which honours exactly the flags in
-/// `accepted` (`--out` is spelled `-o`); any other flag clears `ok` with
-/// a message.
-CommonFlags parse_flags(const std::vector<std::string>& args,
-                        const char* command,
-                        std::initializer_list<std::string_view> accepted) {
-  CommonFlags flags;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (!a.empty() && a[0] == '-') {
-      const std::string_view flag = a == "--out" ? "-o" : std::string_view(a);
-      if (std::find(accepted.begin(), accepted.end(), flag) ==
-          accepted.end()) {
-        std::fprintf(stderr, "%s: unsupported option: %s\n", command,
-                     a.c_str());
-        flags.ok = false;
-        continue;
-      }
-    }
-    const auto next_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        flags.ok = false;
-        return std::nullopt;
-      }
-      return args[++i];
-    };
-    if (a == "-o" || a == "--out") {
-      if (const auto v = next_value("-o")) flags.out_dir = *v;
-    } else if (a == "--quick") {
-      flags.quick = true;
-    } else if (a == "--threads") {
-      if (const auto v = next_value("--threads")) {
-        if (const auto n = parse_count(*v, "--threads")) flags.threads = *n;
-        else flags.ok = false;
-      }
-    } else if (a == "--jobs") {
-      if (const auto v = next_value("--jobs")) {
-        if (const auto n = parse_count(*v, "--jobs")) {
-          // --jobs 0 means "one per hardware thread", like --threads 0.
-          flags.jobs = std::max<std::size_t>(
-              *n == 0 ? std::thread::hardware_concurrency() : *n, 1);
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--cache-dir") {
-      if (const auto v = next_value("--cache-dir")) flags.cache_dir = *v;
-    } else if (a == "--trace") {
-      if (const auto v = next_value("--trace")) flags.trace_path = *v;
-    } else if (a == "--metrics") {
-      flags.metrics = true;
-    } else if (a == "--convergence") {
-      flags.convergence = true;
-    } else if (a == "--no-progress") {
-      flags.no_progress = true;
-    } else if (a == "--validate") {
-      flags.validate = true;
-    } else if (a == "--replicates") {
-      if (const auto v = next_value("--replicates")) {
-        if (const auto n = parse_count(*v, "--replicates"); n && *n > 0) {
-          flags.replicates = *n;
-        } else {
-          if (n && *n == 0) {
-            std::fprintf(stderr, "--replicates must be >= 1\n");
-          }
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--tolerance") {
-      if (const auto v = next_value("--tolerance")) {
-        if (const auto t = parse_real(*v, "--tolerance")) {
-          flags.tolerance_percent = t;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--duration") {
-      if (const auto v = next_value("--duration")) {
-        if (const auto d = parse_real(*v, "--duration")) {
-          flags.duration_s = *d;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--seed") {
-      if (const auto v = next_value("--seed")) {
-        if (const auto n = parse_count(*v, "--seed")) {
-          flags.seed = *n;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--abort-after") {
-      if (const auto v = next_value("--abort-after")) {
-        if (const auto n = parse_count(*v, "--abort-after")) {
-          flags.abort_after = *n;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else {
-      flags.positional.push_back(a);
-    }
-  }
-  return flags;
 }
 
 /// run/resume: --replicates/--duration/--tolerance configure the
@@ -585,7 +441,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
       spec, evaluator, validate::reference_design(spec, evaluator));
   sim::NetworkScenario sc = low.sim;
   sc.duration_s = flags.duration_s.value_or(120.0);
-  sc.seed = flags.seed;
+  sc.seed = flags.seed.value_or(1);
   const sim::NetworkResult result = sim::run_network(sc);
 
   const bool csma = spec.access == scenario::ChannelAccess::kCsma;
@@ -691,7 +547,7 @@ int cmd_validate(const std::vector<std::string>& args) {
     options.plan.replicates = flags.replicates.value_or(16);
     options.plan.jobs = flags.jobs;
     options.plan.duration_s = flags.duration_s.value_or(120.0);
-    options.plan.base_seed = flags.seed;
+    options.plan.base_seed = flags.seed.value_or(1);
     options.tolerance_percent =
         flags.tolerance_percent.value_or(options.tolerance_percent);
     const validate::ValidationReport report =
@@ -707,17 +563,18 @@ int cmd_validate(const std::vector<std::string>& args) {
   return failures == 0 ? 0 : 1;
 }
 
-/// One parsed line of a scenario's progress.jsonl, reduced to the fields
-/// the convergence report needs.
+/// One `generation` record of a scenario's progress.jsonl, reduced to the
+/// fields the convergence report needs.
 struct ProgressPoint {
   long long generation = 0;
   double hypervolume = 0.0;
-  double elapsed_s = 0.0;
+  double t = 0.0;  ///< optimizer seconds at the snapshot
 };
 
-/// Reads a scenario's progress.jsonl into points, skipping records without
-/// a finite hypervolume. Returns an empty vector when the file is missing
-/// (campaign ran with --no-progress) or holds no usable records.
+/// Reads a scenario's progress.jsonl into points, skipping records that
+/// are not `generation` events. Returns an empty vector when the file is
+/// missing (campaign ran with --no-progress) or holds no usable records
+/// (a store written before progress.jsonl held events).
 std::vector<ProgressPoint> load_progress(const scenario::ResultStore& store,
                                          const std::string& name) {
   std::vector<ProgressPoint> points;
@@ -732,17 +589,11 @@ std::vector<ProgressPoint> load_progress(const scenario::ResultStore& store,
     } catch (const util::JsonParseError&) {
       continue;  // torn trailing line from an interrupted run
     }
-    const util::Json* hv = record.find("hypervolume");
-    if (hv == nullptr || !hv->is_number()) continue;
-    ProgressPoint point;
-    point.hypervolume = hv->as_double();
-    if (const util::Json* gen = record.find("generation")) {
-      point.generation = gen->as_int64();
-    }
-    if (const util::Json* elapsed = record.find("elapsed_s")) {
-      point.elapsed_s = elapsed->as_double();
-    }
-    points.push_back(point);
+    const util::Json* kind = record.find("kind");
+    if (kind == nullptr || *kind != util::Json("generation")) continue;
+    points.push_back({record.at("generation").as_int64(),
+                      record.at("hypervolume").as_double(),
+                      record.at("t").as_double()});
   }
   return points;
 }
@@ -776,7 +627,7 @@ int report_convergence(const scenario::ResultStore& store,
       if (final_hv <= 0.0) return "-";
       for (const ProgressPoint& point : points) {
         if (point.hypervolume >= frac * final_hv) {
-          return util::Table::num(point.elapsed_s, 2);
+          return util::Table::num(point.t, 2);
         }
       }
       return "-";

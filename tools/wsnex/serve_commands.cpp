@@ -1,19 +1,16 @@
 #include "serve_commands.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
-#include "scenario/registry.hpp"
+#include "flags.hpp"
 #include "scenario/result_store.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -37,185 +34,8 @@ constexpr serve::RetryPolicy kCliRetry{/*max_attempts=*/3,
                                        /*base_delay_ms=*/100,
                                        /*max_delay_ms=*/2000};
 
-}  // namespace
-
-std::optional<std::size_t> parse_count(const std::string& value,
-                                       const char* flag) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr, "%s expects a non-negative integer, got \"%s\"\n",
-                 flag, value.c_str());
-    return std::nullopt;
-  }
-  try {
-    return static_cast<std::size_t>(std::stoull(value));
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "%s value out of range: %s\n", flag, value.c_str());
-    return std::nullopt;
-  }
-}
-
-std::optional<double> parse_real(const std::string& value, const char* flag) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || !std::isfinite(v) || !(v > 0.0)) {
-      throw std::invalid_argument(value);
-    }
-    return v;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "%s expects a finite positive number, got \"%s\"\n",
-                 flag, value.c_str());
-    return std::nullopt;
-  }
-}
-
-namespace {
-
-/// File path -> parsed spec; otherwise a registry preset name (the same
-/// resolution `wsnex run` applies).
-scenario::ScenarioSpec load_spec_arg(const std::string& arg) {
-  if (std::filesystem::exists(arg)) {
-    return scenario::ScenarioSpec::from_file(arg);
-  }
-  if (arg.ends_with(".json")) {
-    throw scenario::ScenarioError("cannot open scenario file: " + arg);
-  }
-  return scenario::preset(arg);
-}
-
-/// Flags shared by the serve-layer subcommands.
-struct ServeFlags {
-  std::vector<std::string> positional;
-  std::uint16_t port = 0;
-  bool have_port = false;
-  std::string data_dir;
-  std::string cache_dir;
-  std::string port_file;
-  std::string id;
-  std::string kind = "campaign";
-  std::size_t slots = 0;
-  std::size_t threads = 1;
-  std::size_t max_queued = 64;
-  std::size_t priority = 1;
-  bool quick = false;
-  bool wait = false;
-  bool as_json = false;
-  bool access_log = false;
-  std::optional<std::size_t> replicates;
-  std::optional<double> duration_s;
-  std::optional<double> tolerance_percent;
-  std::optional<std::size_t> seed;
-  std::optional<double> deadline_s;
-  bool ok = true;
-};
-
-ServeFlags parse_serve_flags(const std::vector<std::string>& args) {
-  ServeFlags flags;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const auto next_value =
-        [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        flags.ok = false;
-        return std::nullopt;
-      }
-      return args[++i];
-    };
-    const auto count_flag = [&](const char* flag, auto assign) {
-      if (const auto v = next_value(flag)) {
-        if (const auto n = parse_count(*v, flag)) {
-          assign(*n);
-        } else {
-          flags.ok = false;
-        }
-      }
-    };
-    if (a == "--port" || a == "-p") {
-      count_flag("--port", [&](std::size_t n) {
-        if (n > 65535) {
-          std::fprintf(stderr, "--port must be <= 65535\n");
-          flags.ok = false;
-          return;
-        }
-        flags.port = static_cast<std::uint16_t>(n);
-        flags.have_port = true;
-      });
-    } else if (a == "--data") {
-      if (const auto v = next_value("--data")) flags.data_dir = *v;
-    } else if (a == "--cache-dir") {
-      if (const auto v = next_value("--cache-dir")) flags.cache_dir = *v;
-    } else if (a == "--port-file") {
-      if (const auto v = next_value("--port-file")) flags.port_file = *v;
-    } else if (a == "--id") {
-      if (const auto v = next_value("--id")) flags.id = *v;
-    } else if (a == "--kind") {
-      if (const auto v = next_value("--kind")) {
-        if (*v != "campaign" && *v != "validation") {
-          std::fprintf(stderr,
-                       "--kind must be \"campaign\" or \"validation\"\n");
-          flags.ok = false;
-        } else {
-          flags.kind = *v;
-        }
-      }
-    } else if (a == "--slots") {
-      count_flag("--slots", [&](std::size_t n) { flags.slots = n; });
-    } else if (a == "--threads") {
-      count_flag("--threads", [&](std::size_t n) { flags.threads = n; });
-    } else if (a == "--max-queued") {
-      count_flag("--max-queued", [&](std::size_t n) { flags.max_queued = n; });
-    } else if (a == "--priority") {
-      count_flag("--priority", [&](std::size_t n) { flags.priority = n; });
-    } else if (a == "--replicates") {
-      count_flag("--replicates", [&](std::size_t n) { flags.replicates = n; });
-    } else if (a == "--seed") {
-      count_flag("--seed", [&](std::size_t n) { flags.seed = n; });
-    } else if (a == "--duration") {
-      if (const auto v = next_value("--duration")) {
-        if (const auto d = parse_real(*v, "--duration")) {
-          flags.duration_s = *d;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--deadline") {
-      if (const auto v = next_value("--deadline")) {
-        if (const auto d = parse_real(*v, "--deadline")) {
-          flags.deadline_s = *d;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--tolerance") {
-      if (const auto v = next_value("--tolerance")) {
-        if (const auto t = parse_real(*v, "--tolerance")) {
-          flags.tolerance_percent = *t;
-        } else {
-          flags.ok = false;
-        }
-      }
-    } else if (a == "--quick") {
-      flags.quick = true;
-    } else if (a == "--wait") {
-      flags.wait = true;
-    } else if (a == "--json") {
-      flags.as_json = true;
-    } else if (a == "--access-log") {
-      flags.access_log = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      flags.ok = false;
-    } else {
-      flags.positional.push_back(a);
-    }
-  }
-  return flags;
-}
-
-bool require_port(const ServeFlags& flags, const char* command) {
-  if (!flags.have_port) {
+bool require_port(const CommonFlags& flags, const char* command) {
+  if (!flags.port) {
     std::fprintf(stderr, "%s: --port N is required (the daemon prints it)\n",
                  command);
     return false;
@@ -243,7 +63,10 @@ void print_progress_row(util::Table& table, const util::Json& job) {
 }  // namespace
 
 int cmd_serve(const std::vector<std::string>& args) {
-  const ServeFlags flags = parse_serve_flags(args);
+  const CommonFlags flags = parse_flags(
+      args, "serve",
+      {"--data", "--port", "--slots", "--threads", "--max-queued",
+       "--cache-dir", "--port-file", "--access-log"});
   if (!flags.ok) return 2;
   if (flags.data_dir.empty()) {
     std::fprintf(stderr, "serve: --data DIR is required\n");
@@ -261,7 +84,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   serve::SchedulerOptions scheduler_options;
   scheduler_options.data_dir = flags.data_dir;
   scheduler_options.slots = flags.slots;
-  scheduler_options.threads = flags.threads;
+  scheduler_options.threads = flags.threads.value_or(1);
   scheduler_options.max_queued_jobs = flags.max_queued;
   scheduler_options.cache_dir = flags.cache_dir;
 
@@ -271,7 +94,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   const std::size_t requeued = scheduler.recover();
 
   serve::ServerOptions server_options;
-  server_options.port = flags.port;
+  server_options.port = flags.port.value_or(0);
   server_options.access_log = flags.access_log;
   if (flags.access_log && util::log_level() > util::LogLevel::kInfo) {
     // Access lines are emitted at INFO; open the threshold unless the
@@ -313,7 +136,10 @@ int cmd_serve(const std::vector<std::string>& args) {
 }
 
 int cmd_submit(const std::vector<std::string>& args) {
-  const ServeFlags flags = parse_serve_flags(args);
+  const CommonFlags flags = parse_flags(
+      args, "submit",
+      {"--port", "--id", "--kind", "--priority", "--quick", "--replicates",
+       "--duration", "--tolerance", "--seed", "--deadline", "--wait"});
   if (!flags.ok) return 2;
   if (!require_port(flags, "submit")) return 2;
   if (flags.positional.empty()) {
@@ -341,13 +167,13 @@ int cmd_submit(const std::vector<std::string>& args) {
   }
   if (flags.deadline_s) body.set("deadline_s", *flags.deadline_s);
 
-  const serve::Client client(flags.port, 30000, kCliRetry);
+  const serve::Client client(*flags.port, 30000, kCliRetry);
   const util::Json accepted = client.submit(body);
   const std::string id = accepted.at("id").as_string();
   std::printf("submitted %s job %s (%zu scenario(s))\n", flags.kind.c_str(),
               id.c_str(), flags.positional.size());
   if (!flags.wait) {
-    std::printf("poll with: wsnex status --port %u %s\n", flags.port,
+    std::printf("poll with: wsnex status --port %u %s\n", *flags.port,
                 id.c_str());
     return 0;
   }
@@ -363,14 +189,14 @@ int cmd_submit(const std::vector<std::string>& args) {
 }
 
 int cmd_status(const std::vector<std::string>& args) {
-  const ServeFlags flags = parse_serve_flags(args);
+  const CommonFlags flags = parse_flags(args, "status", {"--port", "--json"});
   if (!flags.ok) return 2;
   if (!require_port(flags, "status")) return 2;
   if (flags.positional.size() > 1) {
     std::fprintf(stderr, "status: at most one job id expected\n");
     return 2;
   }
-  const serve::Client client(flags.port, 30000, kCliRetry);
+  const serve::Client client(*flags.port, 30000, kCliRetry);
   if (flags.positional.size() == 1) {
     const util::Json job = client.status(flags.positional.front());
     if (flags.as_json) {
@@ -401,14 +227,14 @@ int cmd_status(const std::vector<std::string>& args) {
 }
 
 int cmd_results(const std::vector<std::string>& args) {
-  const ServeFlags flags = parse_serve_flags(args);
+  const CommonFlags flags = parse_flags(args, "results", {"--port"});
   if (!flags.ok) return 2;
   if (!require_port(flags, "results")) return 2;
   if (flags.positional.size() != 1) {
     std::fprintf(stderr, "results: exactly one job id expected\n");
     return 2;
   }
-  const serve::Client client(flags.port, 30000, kCliRetry);
+  const serve::Client client(*flags.port, 30000, kCliRetry);
   std::printf("%s\n",
               client.results(flags.positional.front()).dump(2).c_str());
   return 0;
@@ -432,15 +258,12 @@ double json_real(const util::Json& obj, const char* key) {
 }
 
 /// One human line per event, shared by the daemon and directory watch
-/// modes (the directory mode synthesizes generation-shaped records).
+/// modes (progress.jsonl records are the stream's `generation` events).
 void print_event_line(const util::Json& event) {
   const std::string kind = json_text(event, "kind");
   const std::string scenario = json_text(event, "scenario");
   const std::string detail = json_text(event, "detail");
-  // progress.jsonl records carry no "kind" — they are generation-shaped
-  // by construction.
-  if (kind == "generation" ||
-      (kind.empty() && event.find("generation") != nullptr)) {
+  if (kind == "generation") {
     std::printf("  [%-24s] gen %3lld  evals %6lld  front %3lld  feasible %3lld"
                 "  hv %.4g  (%.0f evals/s)\n",
                 scenario.c_str(),
@@ -519,7 +342,10 @@ int watch_dir(const std::string& dir) {
         begin = end + 1;
         if (line.empty()) continue;
         try {
-          print_event_line(util::Json::parse(line));
+          const util::Json record = util::Json::parse(line);
+          // A store written before progress.jsonl held events has records
+          // without a kind; they are skipped like foreign lines.
+          if (record.find("kind") != nullptr) print_event_line(record);
         } catch (const util::JsonParseError&) {
           // Torn or foreign line; skip it rather than abort the watch.
         }
@@ -538,7 +364,7 @@ int watch_dir(const std::string& dir) {
 }  // namespace
 
 int cmd_watch(const std::vector<std::string>& args) {
-  const ServeFlags flags = parse_serve_flags(args);
+  const CommonFlags flags = parse_flags(args, "watch", {"--port"});
   if (!flags.ok) return 2;
   if (flags.positional.size() != 1) {
     std::fprintf(stderr,
@@ -547,7 +373,7 @@ int cmd_watch(const std::vector<std::string>& args) {
     return 2;
   }
   const std::string& target = flags.positional.front();
-  if (!flags.have_port) {
+  if (!flags.port) {
     if (std::filesystem::is_directory(target)) return watch_dir(target);
     std::fprintf(stderr,
                  "watch: \"%s\" is not a campaign directory; to watch a "
@@ -555,19 +381,19 @@ int cmd_watch(const std::vector<std::string>& args) {
                  target.c_str());
     return 2;
   }
-  const serve::Client client(flags.port, 60000, kCliRetry);
+  const serve::Client client(*flags.port, 60000, kCliRetry);
   return watch_job(client, target);
 }
 
 int cmd_cancel(const std::vector<std::string>& args) {
-  const ServeFlags flags = parse_serve_flags(args);
+  const CommonFlags flags = parse_flags(args, "cancel", {"--port"});
   if (!flags.ok) return 2;
   if (!require_port(flags, "cancel")) return 2;
   if (flags.positional.size() != 1) {
     std::fprintf(stderr, "cancel: exactly one job id expected\n");
     return 2;
   }
-  const serve::Client client(flags.port, 30000, kCliRetry);
+  const serve::Client client(*flags.port, 30000, kCliRetry);
   const util::Json job = client.cancel(flags.positional.front());
   std::printf("job %s: %s\n", job.at("id").as_string().c_str(),
               job.at("state").as_string().c_str());
