@@ -112,6 +112,9 @@ void write_archive_csv(const std::string& path,
                    util::format_double_shortest(lifetime_days[i]),
                    genome_field(e.genome), space.describe(e.genome)});
   }
+  // A failed write (a full disk) throws here, before the summary and the
+  // manifest record the scenario complete: it stays pending for a resume.
+  csv.close();
 }
 
 util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,

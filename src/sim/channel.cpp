@@ -28,7 +28,7 @@ void Channel::attach(Address address, ReceiveHandler handler) {
       throw std::invalid_argument("Channel: duplicate address");
     }
   }
-  receivers_.push_back({address, std::move(handler)});
+  receivers_.push_back({address, handler});
 }
 
 double Channel::frame_drop_probability(const Frame& frame) {

@@ -16,17 +16,19 @@
 //     modelling position-dependent uplink quality.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/packet.hpp"
 #include "util/random.hpp"
 
 namespace wsnex::sim {
 
-/// Receiver callback: invoked when the last bit of a frame arrives.
-using ReceiveHandler = std::function<void(const Frame&)>;
+/// Receiver callback: invoked when the last bit of a frame arrives. Like
+/// an event callback it is an InlineFunction: it captures by pointer or
+/// reference, never allocates, and is checked at compile time.
+using ReceiveHandler = InlineFunction<void(const Frame&)>;
 
 /// Gilbert-Elliott burst-error process: a two-state (good/bad) Markov
 /// chain advanced once per transmitted frame. In state s the frame is

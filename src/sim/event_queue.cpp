@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -8,39 +7,17 @@
 
 namespace wsnex::sim {
 
-std::uint64_t EventQueue::schedule(SimTime at, Callback fn) {
-  static_assert(sizeof(Entry) == 24 && std::is_trivially_copyable_v<Entry>);
-  if (free_slots_.empty()) {
-    if (slots_.size() > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("EventQueue: more than 2^32 pending events");
-    }
-    slots_.emplace_back();
-    free_slots_.reserve(slots_.capacity());
-    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
-  }
-  const std::uint32_t slot = free_slots_.back();
-  Slot& s = slots_[slot];
-  // Generation 0 is skipped on wrap-around, so no id is ever 0.
-  const std::uint32_t generation =
-      s.generation == std::numeric_limits<std::uint32_t>::max()
-          ? 1
-          : s.generation + 1;
-  const std::uint64_t id = std::uint64_t{generation} << 32 | slot;
-  heap_.push_back(Entry{at, next_seq_, id});  // the last step that can throw
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  free_slots_.pop_back();
-  ++next_seq_;
-  s.id = id;
-  s.generation = generation;
-  s.fn = std::move(fn);
-  ++live_;
-  return id;
-}
+static_assert(sizeof(EventQueue::Callback) == 64 &&
+              std::is_trivially_copyable_v<EventQueue::Callback>);
 
-void EventQueue::release(std::uint32_t slot) noexcept {
-  slots_[slot].id = 0;
-  free_slots_.push_back(slot);  // within the capacity reserved by schedule()
-  --live_;
+void EventQueue::add_slot() {
+  static_assert(sizeof(Entry) == 24 && std::is_trivially_copyable_v<Entry>);
+  if (slots_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("EventQueue: more than 2^32 pending events");
+  }
+  slots_.emplace_back();
+  free_slots_.reserve(slots_.capacity());
+  free_slots_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
 }
 
 void EventQueue::cancel(std::uint64_t id) {
@@ -50,7 +27,6 @@ void EventQueue::cancel(std::uint64_t id) {
   // slot holds 0, which is never issued).
   const std::uint32_t slot = slot_of(id);
   if (id == 0 || slot >= slots_.size() || slots_[slot].id != id) return;
-  slots_[slot].fn = nullptr;
   release(slot);
   ++tombstones_;
   if (tombstones_ > live_) compact();
@@ -81,23 +57,10 @@ SimTime EventQueue::next_time() const {
 }
 
 SimTime EventQueue::run_next() {
-  drop_cancelled();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  // Move the callback out and free its slot before running it: the
-  // callback may schedule new events (reusing this slot or growing the
-  // table) or cancel its own, now stale, id.
-  const std::uint32_t slot = slot_of(entry.id);
-  const Callback fn = std::move(slots_[slot].fn);
-  release(slot);
-  // Popping live entries can also leave tombstones in the majority;
-  // re-check the compaction invariant so the bound holds after any
-  // mutation, not just after cancel().
-  if (tombstones_ > live_) compact();
-  fn();
-  return entry.at;
+  assert(!empty());
+  SimTime at = 0.0;
+  run_next_until(std::numeric_limits<SimTime>::infinity(), at);
+  return at;
 }
 
 }  // namespace wsnex::sim

@@ -1,9 +1,13 @@
 // Discrete-event simulation core: time-ordered event queue.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <vector>
+
+#include "sim/inline_function.hpp"
 
 namespace wsnex::sim {
 
@@ -15,16 +19,17 @@ using SimTime = double;
 /// equal times fire in insertion order and runs are deterministic.
 ///
 /// The binary heap holds 24-byte, trivially copyable {at, seq, id}
-/// entries. Callbacks live in a table of slots that a free list recycles,
-/// so a warmed-up queue schedules, cancels and runs events without
-/// allocating (a std::function whose capture exceeds its local buffer
-/// still allocates for itself). An id is `generation << 32 | slot`, and
-/// generations start at 1, so 0 is never issued and stays free for
-/// callers to mean "no event". A heap entry is live iff its slot still
-/// holds its id: cancel() and run_next() free the slot at once, which
-/// turns the stale heap entry and any later use of the id into no-ops. A
-/// stale id can alias a newer event only after 2^32 reuses of its slot,
-/// so callers cancel only events they know are pending.
+/// entries. Callbacks are InlineFunctions — trivially copyable closures
+/// of at most kInlineClosureBytes, stored inline — living in a table of
+/// slots that a free list recycles, so a warmed-up queue schedules,
+/// cancels and runs events without allocating whatever the callbacks
+/// capture. An id is `generation << 32 | slot`, and generations start at
+/// 1, so 0 is never issued and stays free for callers to mean "no event".
+/// A heap entry is live iff its slot still holds its id: cancel() and
+/// running an event free the slot at once, which turns the stale heap
+/// entry and any later use of the id into no-ops. A stale id can alias a
+/// newer event only after 2^32 reuses of its slot, so callers cancel only
+/// events they know are pending.
 ///
 /// A cancelled entry stays in the heap as a tombstone until it surfaces
 /// at the top or a compaction pass rebuilds the heap. Compaction triggers
@@ -33,7 +38,7 @@ using SimTime = double;
 /// bounded instead of growing with the total number of cancellations.
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineFunction<void()>;
 
   /// Schedules `fn` at absolute time `at`. Returns an id usable to cancel;
   /// never 0.
@@ -52,8 +57,15 @@ class EventQueue {
   /// Time of the earliest pending event; only valid when !empty().
   SimTime next_time() const;
 
-  /// Pops and runs the earliest event; returns its timestamp.
+  /// Pops and runs the earliest event; returns its timestamp. Only valid
+  /// when !empty().
   SimTime run_next();
+
+  /// The simulation loop's step: drops cancelled entries from the top,
+  /// then, if the earliest event is due at or before `t_end`, pops it
+  /// once, stores its time in `now`, runs it and returns true. Returns
+  /// false, leaving `now` as it was, when nothing is due by `t_end`.
+  bool run_next_until(SimTime t_end, SimTime& now);
 
  private:
   struct Entry {
@@ -79,7 +91,12 @@ class EventQueue {
   bool is_live(const Entry& e) const {
     return slots_[slot_of(e.id)].id == e.id;
   }
-  void release(std::uint32_t slot) noexcept;
+  void add_slot();
+  void release(std::uint32_t slot) noexcept {
+    slots_[slot].id = 0;
+    free_slots_.push_back(slot);  // within the capacity add_slot() reserved
+    --live_;
+  }
   void drop_cancelled() const;
   void compact();
 
@@ -96,5 +113,58 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   mutable std::size_t tombstones_ = 0;  // cancelled entries still in heap_
 };
+
+// schedule() and run_next_until() run once per simulated event; they are
+// defined here so the simulator's call sites inline them.
+
+inline std::uint64_t EventQueue::schedule(SimTime at, Callback fn) {
+  if (free_slots_.empty()) add_slot();
+  const std::uint32_t slot = free_slots_.back();
+  Slot& s = slots_[slot];
+  // Generation 0 is skipped on wrap-around, so no id is ever 0.
+  const std::uint32_t generation =
+      s.generation == std::numeric_limits<std::uint32_t>::max()
+          ? 1
+          : s.generation + 1;
+  const std::uint64_t id = std::uint64_t{generation} << 32 | slot;
+  heap_.push_back(Entry{at, next_seq_, id});  // the last step that can throw
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  free_slots_.pop_back();
+  ++next_seq_;
+  s.id = id;
+  s.generation = generation;
+  s.fn = fn;
+  ++live_;
+  return id;
+}
+
+inline bool EventQueue::run_next_until(SimTime t_end, SimTime& now) {
+  while (!heap_.empty()) {
+    const Entry top = heap_.front();
+    const bool live = is_live(top);
+    if (live && top.at > t_end) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    if (!live) {
+      assert(tombstones_ > 0);
+      --tombstones_;
+      continue;
+    }
+    // Copy the callback out and free its slot before running it: the
+    // callback may schedule new events (reusing this slot or growing the
+    // table) or cancel its own, now stale, id.
+    const std::uint32_t slot = slot_of(top.id);
+    const Callback fn = slots_[slot].fn;
+    release(slot);
+    // Popping live entries can also leave tombstones in the majority;
+    // re-check the compaction invariant so the bound holds after any
+    // mutation, not just after cancel().
+    if (tombstones_ > live_) compact();
+    now = top.at;
+    fn();
+    return true;
+  }
+  return false;
+}
 
 }  // namespace wsnex::sim

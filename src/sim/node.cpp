@@ -21,6 +21,15 @@ SensorNode::SensorNode(Engine& engine, Channel& channel, Address address,
       access_(access),
       rng_(seed ^ (0x9E3779B97F4A7C15ULL * (address + 1))) {}
 
+void SensorNode::TxQueue::grow() {
+  std::vector<PendingFrame> bigger(std::max<std::size_t>(8, 2 * ring_.size()));
+  for (std::size_t i = 0; i < size_; ++i) {
+    bigger[i] = ring_[(head_ + i) % ring_.size()];
+  }
+  ring_ = std::move(bigger);
+  head_ = 0;
+}
+
 void SensorNode::start() {
   if (traffic_.bytes_per_second > 0.0) {
     // Nodes boot at independent instants, so their compression windows are

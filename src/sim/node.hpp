@@ -2,8 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "mac/mac_config.hpp"
 #include "sim/channel.hpp"
@@ -69,6 +69,35 @@ class SensorNode {
     unsigned attempts = 0;
   };
 
+  /// The transmit FIFO, on a grow-only ring: pop_front() never frees and
+  /// push_back() allocates only when the ring is full, doubling it, so a
+  /// node stops allocating once its backlog has peaked (a std::deque
+  /// allocates and frees a chunk every few frames as its window slides).
+  class TxQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    PendingFrame& front() { return ring_[head_]; }
+    void push_back(const PendingFrame& pending) {
+      if (size_ == ring_.size()) grow();
+      std::size_t tail = head_ + size_;
+      if (tail >= ring_.size()) tail -= ring_.size();
+      ring_[tail] = pending;
+      ++size_;
+    }
+    void pop_front() {
+      if (++head_ == ring_.size()) head_ = 0;
+      --size_;
+    }
+
+   private:
+    void grow();
+
+    std::vector<PendingFrame> ring_;
+    std::size_t head_ = 0;  ///< index of the front frame
+    std::size_t size_ = 0;
+  };
+
   void generate_block();
   void pack_frames();
   void on_receive(const Frame& frame);
@@ -90,7 +119,7 @@ class SensorNode {
   AccessMode access_;
   util::Rng rng_;
 
-  std::deque<PendingFrame> tx_queue_;
+  TxQueue tx_queue_;
   double fractional_bytes_ = 0.0;
   std::size_t buffer_bytes_ = 0;  ///< app bytes not yet forming a full frame
   std::uint64_t next_seq_ = 0;

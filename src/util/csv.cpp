@@ -1,12 +1,27 @@
 #include "util/csv.hpp"
 
+#include <cerrno>
+#include <cstring>
 #include <sstream>
-#include <stdexcept>
+
+#include "util/fsio.hpp"
 
 namespace wsnex::util {
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
+  if (!out_) throw FileError("CsvWriter: cannot open " + path);
+}
+
+void CsvWriter::close() {
+  // The stream keeps its failbit from the first failed write, so one check
+  // after the final flush and close covers every row.
+  errno = 0;
+  out_.close();
+  if (out_.fail()) {
+    const int err = errno;
+    throw FileError("CsvWriter: cannot write " + path_ +
+                    (err != 0 ? std::string(": ") + std::strerror(err) : ""));
+  }
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {

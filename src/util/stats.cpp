@@ -136,22 +136,51 @@ double population_stddev(std::span<const double> xs) {
   return std::sqrt(acc / static_cast<double>(xs.size()));
 }
 
+namespace {
+
+/// Where percentile p falls among n >= 2 order statistics: between the
+/// lo-th and the next one, `frac` of the way up. Shared by the sorted and
+/// the selecting reader so both interpolate the same two values alike.
+struct PercentileRank {
+  std::size_t lo;
+  double frac;
+};
+
+PercentileRank percentile_rank(std::size_t n, double p) {
+  assert(p >= 0.0 && p <= 100.0);
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  return {lo, rank - static_cast<double>(lo)};
+}
+
+}  // namespace
+
 double percentile(std::span<const double> xs, double p) {
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
+  std::vector<double> copy(xs.begin(), xs.end());
+  return percentile_select(copy, p);
 }
 
 double percentile_sorted(std::span<const double> sorted, double p) {
-  assert(p >= 0.0 && p <= 100.0);
   assert(std::is_sorted(sorted.begin(), sorted.end()));
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const PercentileRank r = percentile_rank(sorted.size(), p);
+  const std::size_t hi = std::min(r.lo + 1, sorted.size() - 1);
+  return sorted[r.lo] + r.frac * (sorted[hi] - sorted[r.lo]);
+}
+
+double percentile_select(std::span<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  if (xs.size() == 1) return xs.front();
+  const PercentileRank r = percentile_rank(xs.size(), p);
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  // Everything after `nth` is now >= it, so the next order statistic is
+  // the minimum of that part (or `nth` itself when it is the largest).
+  const double lo = *nth;
+  const double hi =
+      nth + 1 == xs.end() ? lo : *std::min_element(nth + 1, xs.end());
+  return lo + r.frac * (hi - lo);
 }
 
 double min_value(std::span<const double> xs) {

@@ -63,12 +63,20 @@ double sample_stddev(std::span<const double> xs);
 /// Population standard deviation (n denominator); 0 for an empty span.
 double population_stddev(std::span<const double> xs);
 
-/// Linearly interpolated percentile, p in [0, 100]. Sorts a copy.
+/// Linearly interpolated percentile, p in [0, 100]: percentile_select()
+/// on a copy of `xs`.
 double percentile(std::span<const double> xs, double p);
 
-/// percentile() of values already sorted ascending: no copy, no sort, so
-/// several percentiles of one sample cost one sort.
+/// percentile() of values already sorted ascending: no copy, no
+/// reordering.
 double percentile_sorted(std::span<const double> sorted, double p);
+
+/// percentile() by selection in place: reorders `xs` with one
+/// std::nth_element, then takes the minimum of the part above it for the
+/// interpolation's upper neighbour — O(n) instead of a sort. Returns the
+/// same double as percentile_sorted() of the sorted values, so several
+/// percentiles of one sample may be selected from the same span in turn.
+double percentile_select(std::span<double> xs, double p);
 
 double min_value(std::span<const double> xs);
 double max_value(std::span<const double> xs);

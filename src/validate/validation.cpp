@@ -47,12 +47,12 @@ ReplicateMetrics extract_metrics(
     latencies.push_back(d.latency_s);
   }
   // The mean sums in delivery order (that order is part of the bytes);
-  // the order statistics then read one sorted copy.
+  // the order statistics are then selected in place, each the same double
+  // a full sort would give.
   m.latency_mean_s = util::mean(latencies);
-  std::sort(latencies.begin(), latencies.end());
-  m.latency_p95_s = util::percentile_sorted(latencies, 95.0);
-  m.latency_p99_s = util::percentile_sorted(latencies, 99.0);
-  m.latency_max_s = util::percentile_sorted(latencies, 100.0);
+  m.latency_p95_s = util::percentile_select(latencies, 95.0);
+  m.latency_p99_s = util::percentile_select(latencies, 99.0);
+  m.latency_max_s = util::percentile_select(latencies, 100.0);
 
   std::uint64_t enqueued = 0, dropped = 0, sent = 0, retries = 0;
   std::uint64_t csma_attempts = 0, csma_failures = 0;
@@ -491,6 +491,7 @@ void ValidationReport::write_csv(const std::string& path) const {
                    m.has_analytic ? (m.ci_overlap ? "true" : "false") : "",
                    to_string(m.verdict)});
   }
+  csv.close();
 }
 
 void persist_validation(const scenario::ResultStore& store,

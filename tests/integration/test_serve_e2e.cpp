@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "scenario/result_store.hpp"
 #include "serve/client.hpp"
 #include "util/json.hpp"
 
@@ -353,7 +354,9 @@ int run_wsnex(const std::vector<std::string>& args, int timeout_s) {
 
 // Every serve-layer verb exits 2 on a flag it does not honour, before it
 // boots a daemon (which would run until killed) or connects (nothing
-// listens on port 1, so a verb that got that far exits 1).
+// listens on port 1, so a verb that got that far exits 1). So do the
+// local `version` and `list`, which once ignored it and exited 0, and
+// `check`, which once opened it as a spec path and exited 1.
 TEST_F(ServeE2eTest, VerbsRejectFlagsTheyDoNotHonour) {
   fs::create_directories(root_);
   const std::vector<std::vector<std::string>> cases = {
@@ -364,10 +367,48 @@ TEST_F(ServeE2eTest, VerbsRejectFlagsTheyDoNotHonour) {
       {"results", "--port", "1", "job-1", "--json"},
       {"cancel", "--port", "1", "job-1", "--id", "job-2"},
       {"watch", root_.string(), "--slots", "4"},
+      {"version", "--bogus"},
+      {"list", "--bogus"},
+      {"check", "hospital_ward_2", "--bogus"},
   };
   for (const std::vector<std::string>& args : cases) {
     EXPECT_EQ(run_wsnex(args, 10), 2) << args.front();
   }
+}
+
+// A full disk under an archive fails the scenario instead of marking it
+// complete: the CSV writer's close() reports the lost bytes before the
+// summary and the manifest are written, so `resume` exits non-zero, the
+// scenario stays pending, and a resume on a healthy disk writes the
+// archives an uninterrupted run writes.
+TEST_F(ServeE2eTest, FullDiskArchiveLeavesScenarioPending) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  const fs::path full = root_ / "full";
+  const fs::path interrupted = root_ / "interrupted";
+  ASSERT_EQ(run_wsnex({"run", "hospital_ward_2", "hospital_ward_3", "--quick",
+                       "-o", full.string()},
+                      120),
+            0);
+  ASSERT_EQ(run_wsnex({"run", "hospital_ward_2", "hospital_ward_3", "--quick",
+                       "-o", interrupted.string(), "--abort-after", "1"},
+                      120),
+            3);
+  const fs::path pareto =
+      interrupted / "results" / "hospital_ward_3" / "pareto.csv";
+  fs::create_directories(pareto.parent_path());
+  fs::create_symlink("/dev/full", pareto);
+
+  EXPECT_NE(run_wsnex({"resume", interrupted.string()}, 120), 0);
+  const scenario::CampaignManifest manifest =
+      scenario::ResultStore(interrupted.string()).load_manifest();
+  ASSERT_EQ(manifest.scenarios.size(), 2u);
+  EXPECT_TRUE(manifest.scenarios[0].complete);
+  EXPECT_FALSE(manifest.scenarios[1].complete);
+  EXPECT_FALSE(fs::exists(pareto.parent_path() / "summary.json"));
+
+  fs::remove(pareto);
+  ASSERT_EQ(run_wsnex({"resume", interrupted.string()}, 120), 0);
+  expect_identical_results(full, interrupted);
 }
 
 }  // namespace

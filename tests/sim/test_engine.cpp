@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 namespace wsnex::sim {
 namespace {
 
@@ -39,11 +42,13 @@ TEST(Engine, EventsPastHorizonNotRun) {
 TEST(Engine, RelativeSchedulingChains) {
   Engine e;
   std::vector<double> times;
+  // Event callbacks are trivially copyable closures, so the recursive
+  // std::function is captured by reference, not copied in.
   std::function<void()> tick = [&] {
     times.push_back(e.now());
-    if (times.size() < 3) e.schedule_in(1.0, tick);
+    if (times.size() < 3) e.schedule_in(1.0, [&tick] { tick(); });
   };
-  e.schedule_in(1.0, tick);
+  e.schedule_in(1.0, [&tick] { tick(); });
   e.run_until(10.0);
   ASSERT_EQ(times.size(), 3u);
   EXPECT_DOUBLE_EQ(times[0], 1.0);

@@ -2,40 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <array>
 #include <iterator>
 #include <map>
-#include <new>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-// Counting replacements of the global allocation functions, for the
-// steady-state allocation test below. Every block counted here is
-// malloc'd and freed with free(); the array forms either forward here or,
-// under ASan and TSan, stay with the sanitizer runtime as a pair, so no
-// allocation is ever released by a different allocator.
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-// Once inlined next to a `new`, GCC flags this free() as mismatched; here
-// the pairing is the point.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "allocation_counter.hpp"
+#include "sim/packet.hpp"
 
 namespace wsnex::sim {
 namespace {
@@ -300,8 +276,9 @@ TEST(EventQueue, RandomChurnMatchesOrderedModelWithinCompactionBound) {
 
 TEST(EventQueue, SteadyStateCyclesDoNotAllocate) {
   // Three schedules, one cancel and two runs per cycle keep the live
-  // count flat; captures fit std::function's local buffer. Once warm,
-  // the heap, slot table and free list have all the room they need.
+  // count flat; callbacks are stored inline in their slots, whatever
+  // they capture. Once warm, the heap, slot table and free list have all
+  // the room they need.
   EventQueue q;
   std::uint64_t fired = 0;
   SimTime now = 0.0;
@@ -321,6 +298,52 @@ TEST(EventQueue, SteadyStateCyclesDoNotAllocate) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(fired, 2u * 101000u);
   EXPECT_EQ(q.size(), 16u);
+}
+
+// The closure type's compile-time rule. The simulator's largest capture,
+// `[this, frame]`, fits exactly; one byte more does not compile, and
+// neither does a capture that is not trivially copyable (a container or
+// a type-erased function captured by value would need the heap).
+class Relay {
+ public:
+  auto deliver_later(const Frame& frame) {
+    return [this, frame] { last_seq_ = frame.seq; };
+  }
+  std::uint64_t last_seq() const { return last_seq_; }
+
+ private:
+  std::uint64_t last_seq_ = 0;
+};
+using ThisAndFrame =
+    decltype(std::declval<Relay&>().deliver_later(std::declval<Frame>()));
+static_assert(sizeof(ThisAndFrame) == kInlineClosureBytes);
+static_assert(std::is_constructible_v<EventQueue::Callback, ThisAndFrame>);
+static_assert(std::is_trivially_copyable_v<EventQueue::Callback>);
+
+TEST(EventQueue, CallbackTakesOnlySmallTriviallyCopyableClosures) {
+  const std::array<std::byte, kInlineClosureBytes> at_capacity{};
+  const std::array<std::byte, kInlineClosureBytes + 1> one_byte_over{};
+  const std::vector<int> values{1, 2, 3};
+  const auto fits = [at_capacity] { return at_capacity.size(); };
+  const auto too_big = [one_byte_over] { return one_byte_over.size(); };
+  const auto owns_heap = [values] { return values.size(); };
+  static_assert(std::is_constructible_v<EventQueue::Callback, decltype(fits)>);
+  static_assert(
+      !std::is_constructible_v<EventQueue::Callback, decltype(too_big)>);
+  static_assert(
+      !std::is_constructible_v<EventQueue::Callback, decltype(owns_heap)>);
+  EXPECT_EQ(fits(), too_big() - 1);
+  EXPECT_EQ(owns_heap(), 3u);
+
+  // The largest capture round-trips through a slot intact.
+  EventQueue q;
+  Relay relay;
+  Frame frame;
+  frame.seq = 0x0123456789ABCDEFULL;
+  frame.enqueued_at = 2.5;
+  q.schedule(1.0, relay.deliver_later(frame));
+  q.run_next();
+  EXPECT_EQ(relay.last_seq(), frame.seq);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Direct CsvWriter coverage: quoting/escaping edge cases and full-precision
+// Direct CsvWriter coverage: quoting/escaping edge cases, full-precision
 // numeric round-trips (the campaign result store depends on both — archive
-// CSVs must reload to bit-identical doubles).
+// CSVs must reload to bit-identical doubles) and close()'s write check.
 #include "util/csv.hpp"
 
 #include <gtest/gtest.h>
@@ -8,16 +8,24 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
+
+#include "util/fsio.hpp"
 
 namespace wsnex::util {
 namespace {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/wsnex_csv_writer_test.csv";
+  // Unique per test case: ctest runs the cases as concurrent processes.
+  std::string path_ =
+      ::testing::TempDir() + "/wsnex_csv_writer_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 
   std::string read_back() const {
     std::ifstream in(path_, std::ios::binary);
@@ -145,6 +153,28 @@ TEST_F(CsvWriterTest, EmptyRowWritesBlankLine) {
     csv.write_row({""});
   }
   EXPECT_EQ(read_back(), "\n\n");
+}
+
+TEST_F(CsvWriterTest, CloseFlushesEveryRow) {
+  CsvWriter csv(path_);
+  csv.write_row({"a", "b"});
+  csv.close();
+  EXPECT_EQ(read_back(), "a,b\n");
+}
+
+TEST_F(CsvWriterTest, CloseReportsALostWriteNamingThePath) {
+  // /dev/full accepts the open and fails every write with ENOSPC; the rows
+  // sit in the stream's buffer, so only close() can tell.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvWriter csv("/dev/full");
+  csv.write_row({"lost", "row"});
+  try {
+    csv.close();
+    FAIL() << "close() did not report the failed write";
+  } catch (const FileError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -120,6 +122,33 @@ TEST(Stats, PercentileSortedMatchesPercentile) {
   }
   EXPECT_EQ(percentile_sorted(sorted, 100.0), max_value(xs));
   EXPECT_EQ(percentile_sorted({}, 95.0), 0.0);
+
+  // Selection must return the very bits a full sort gives: on sizes 0, 1
+  // and 2 and on random samples drawn from a few values, so ties are
+  // everywhere, both one p at a time (percentile) and several in turn on
+  // one reordered span (percentile_select, as the validation does).
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng rng(19);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n =
+        trial < 3 ? static_cast<std::size_t>(trial)
+                  : static_cast<std::size_t>(rng.uniform_int(3, 400));
+    std::vector<double> sample(n);
+    for (double& x : sample) {
+      x = 0.125 * static_cast<double>(rng.uniform_int(-4, 12)) +
+          (rng.uniform01() < 0.1 ? rng.uniform01() : 0.0);
+    }
+    std::vector<double> ordered = sample;
+    std::sort(ordered.begin(), ordered.end());
+    std::vector<double> selected = sample;
+    for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+      const double expected = percentile_sorted(ordered, p);
+      EXPECT_EQ(bits(percentile(sample, p)), bits(expected))
+          << "n=" << n << " p=" << p;
+      EXPECT_EQ(bits(percentile_select(selected, p)), bits(expected))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(Stats, Rms) {

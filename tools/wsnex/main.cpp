@@ -199,9 +199,9 @@ std::string apps_summary(const scenario::ScenarioSpec& spec) {
 /// which it actually runs on (they differ under WSNEX_FORCE_SCALAR).
 int cmd_version(const std::vector<std::string>& args) {
   namespace simd = util::simd;
-  const bool as_json =
-      std::find(args.begin(), args.end(), "--json") != args.end();
-  if (as_json) {
+  const CommonFlags flags = parse_flags(args, "version", {"--json"});
+  if (!flags.ok) return 2;
+  if (flags.as_json) {
     util::Json out = util::Json::object();
     out.set("version", WSNEX_VERSION);
     util::Json dispatch = util::Json::object();
@@ -221,10 +221,10 @@ int cmd_version(const std::vector<std::string>& args) {
 }
 
 int cmd_list(const std::vector<std::string>& args) {
-  const bool as_json =
-      std::find(args.begin(), args.end(), "--json") != args.end();
+  const CommonFlags flags = parse_flags(args, "list", {"--json"});
+  if (!flags.ok) return 2;
   const auto presets = scenario::all_presets();
-  if (as_json) {
+  if (flags.as_json) {
     util::Json out = util::Json::array();
     for (const auto& spec : presets) out.push_back(spec.to_json());
     std::printf("%s", out.dump(2).c_str());
@@ -247,12 +247,14 @@ int cmd_list(const std::vector<std::string>& args) {
 }
 
 int cmd_check(const std::vector<std::string>& args) {
-  if (args.empty()) {
+  const CommonFlags flags = parse_flags(args, "check", {});
+  if (!flags.ok) return 2;
+  if (flags.positional.empty()) {
     std::fprintf(stderr, "check: no specs given\n");
     return 2;
   }
   int failures = 0;
-  for (const std::string& arg : args) {
+  for (const std::string& arg : flags.positional) {
     try {
       const scenario::ScenarioSpec spec = load_spec_arg(arg);
       const dse::DesignSpace space(spec.design_space_config());
