@@ -1,10 +1,27 @@
 #include "dse/design_space.hpp"
 
 #include <cassert>
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 
 namespace wsnex::dse {
+namespace {
+
+/// `value` as an ostream prints a double by default: %.6g.
+std::string format_default(double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::general, 6);
+  return std::string(buf, result.ptr);
+}
+
+void append_unsigned(std::string& out, std::size_t value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+}  // namespace
 
 DesignSpaceConfig DesignSpaceConfig::case_study(std::size_t node_count) {
   DesignSpaceConfig cfg;
@@ -42,20 +59,27 @@ DesignSpace::DesignSpace(DesignSpaceConfig config)
   require_non_empty(config_.payload_grid.empty(), "payload_grid");
   require_non_empty(config_.bco_grid.empty(), "bco_grid");
   require_non_empty(config_.sfo_gap_grid.empty(), "sfo_gap_grid");
+  const std::size_t n = config_.node_count;
+  for (std::size_t i = 0; i < n; ++i) {
+    domain_sizes_.push_back(config_.cr_grid.size());
+    domain_sizes_.push_back(config_.mcu_freq_khz_grid.size());
+  }
+  domain_sizes_.push_back(config_.payload_grid.size());
+  domain_sizes_.push_back(config_.bco_grid.size());
+  domain_sizes_.push_back(config_.sfo_gap_grid.size());
+  for (const double cr : config_.cr_grid) {
+    cr_labels_.push_back(format_default(cr));
+  }
+  for (const double khz : config_.mcu_freq_khz_grid) {
+    mhz_labels_.push_back(format_default(khz / 1000.0));
+  }
 }
 
 std::size_t DesignSpace::domain_size(std::size_t gene_index) const {
-  const std::size_t n = config_.node_count;
-  if (gene_index < 2 * n) {
-    return gene_index % 2 == 0 ? config_.cr_grid.size()
-                               : config_.mcu_freq_khz_grid.size();
+  if (gene_index >= domain_sizes_.size()) {
+    throw std::out_of_range("DesignSpace::domain_size");
   }
-  switch (gene_index - 2 * n) {
-    case 0: return config_.payload_grid.size();
-    case 1: return config_.bco_grid.size();
-    case 2: return config_.sfo_gap_grid.size();
-    default: throw std::out_of_range("DesignSpace::domain_size");
-  }
+  return domain_sizes_[gene_index];
 }
 
 double DesignSpace::cardinality() const {
@@ -74,7 +98,7 @@ double DesignSpace::cardinality() const {
 Genome DesignSpace::random_genome(util::Rng& rng) const {
   Genome genome(genome_length());
   for (std::size_t g = 0; g < genome.size(); ++g) {
-    genome[g] = static_cast<std::uint16_t>(rng.index(domain_size(g)));
+    genome[g] = static_cast<std::uint16_t>(rng.index(domain_sizes_[g]));
   }
   return genome;
 }
@@ -83,7 +107,7 @@ void DesignSpace::mutate(Genome& genome, util::Rng& rng, double rate) const {
   assert(genome.size() == genome_length());
   for (std::size_t g = 0; g < genome.size(); ++g) {
     if (rng.bernoulli(rate)) {
-      genome[g] = static_cast<std::uint16_t>(rng.index(domain_size(g)));
+      genome[g] = static_cast<std::uint16_t>(rng.index(domain_sizes_[g]));
     }
   }
 }
@@ -123,15 +147,33 @@ model::NetworkDesign DesignSpace::decode(const Genome& genome) const {
 }
 
 std::string DesignSpace::describe(const Genome& genome) const {
-  const model::NetworkDesign design = decode(genome);
-  std::ostringstream os;
-  os << "L=" << design.mac.payload_bytes << " BCO=" << design.mac.bco
-     << " SFO=" << design.mac.sfo << " |";
-  for (const model::NodeConfig& node : design.nodes) {
-    os << ' ' << model::to_string(node.app) << "(CR=" << node.cr
-       << ",f=" << node.mcu_freq_khz / 1000.0 << "MHz)";
+  std::string out;
+  describe_to(genome, out);
+  return out;
+}
+
+void DesignSpace::describe_to(const Genome& genome, std::string& out) const {
+  assert(genome.size() == genome_length());
+  // Straight from the grids, with decode()'s SFO clamp.
+  const std::size_t n = config_.node_count;
+  const unsigned bco = config_.bco_grid[genome[2 * n + 1]];
+  const unsigned gap = config_.sfo_gap_grid[genome[2 * n + 2]];
+  out += "L=";
+  append_unsigned(out, config_.payload_grid[genome[2 * n]]);
+  out += " BCO=";
+  append_unsigned(out, bco);
+  out += " SFO=";
+  append_unsigned(out, bco >= gap ? bco - gap : 0);
+  out += " |";
+  for (std::size_t i = 0; i < n; ++i) {
+    out += ' ';
+    out += model::to_string(config_.apps[i]);
+    out += "(CR=";
+    out += cr_labels_[genome[2 * i]];
+    out += ",f=";
+    out += mhz_labels_[genome[2 * i + 1]];
+    out += "MHz)";
   }
-  return os.str();
 }
 
 }  // namespace wsnex::dse

@@ -74,14 +74,24 @@ class DesignSpace {
   /// Decodes a genome into an evaluable design.
   model::NetworkDesign decode(const Genome& genome) const;
 
-  /// Human-readable form of a genome for reports.
+  /// Human-readable form of a genome for reports, e.g.
+  /// "L=64 BCO=6 SFO=5 | DWT(CR=0.17,f=8MHz) CS(CR=0.2,f=1MHz)": the
+  /// grids' values as an ostream prints them by default (%.6g).
   std::string describe(const Genome& genome) const;
+
+  /// Appends describe(genome) to `out` (the archive writer's row buffer).
+  void describe_to(const Genome& genome, std::string& out) const;
 
   /// Domain size of gene `i` (for enumeration and property tests).
   std::size_t domain_size(std::size_t gene_index) const;
 
  private:
   DesignSpaceConfig config_;
+  /// Domain size of every gene, in genome order.
+  std::vector<std::size_t> domain_sizes_;
+  /// describe()'s per-gene labels: each grid value formatted once.
+  std::vector<std::string> cr_labels_;
+  std::vector<std::string> mhz_labels_;
 };
 
 }  // namespace wsnex::dse

@@ -22,81 +22,117 @@ struct Individual {
   Genome genome;
   std::array<double, kMaxObjectives> obj{};
   std::uint8_t obj_count = 0;
-  std::size_t front = 0;
-  double crowding = 0.0;
-
   bool feasible() const { return obj_count != 0; }
 };
 
-/// NSGA-II comparison: feasibility first, then front rank, then crowding.
-bool better(const Individual& a, const Individual& b) {
-  if (a.feasible() != b.feasible()) return a.feasible();
-  if (!a.feasible()) return false;
-  if (a.front != b.front) return a.front < b.front;
-  return a.crowding > b.crowding;
-}
-
-/// Flat-buffer replacement of the former rank_population(): identical
-/// front ranks and crowding distances (same comparator and evaluation
-/// order as crowding_distances()), with all working memory reused across
-/// generations.
+/// NSGA-II ranking of a population: front ranks by the flat non-dominated
+/// sort, crowding distances per front, then the environmental-selection
+/// order as a std::sort over compact RankKeys. All working memory is
+/// reused across generations.
 class PopulationRanker {
  public:
-  void rank(std::vector<Individual>& pop) {
+  /// Ranks `pop` and returns its RankKeys best first (see
+  /// detail::ranks_before); key k names the population index of the k-th
+  /// best individual.
+  const std::vector<detail::RankKey>& rank(const std::vector<Individual>& pop) {
     feasible_idx_.clear();
     flat_.clear();
     std::size_t m = 0;
+    keys_.resize(pop.size());
+    row_of_.resize(pop.size());
     for (std::size_t i = 0; i < pop.size(); ++i) {
+      keys_[i] = {detail::RankKey::kInfeasibleFront,
+                  static_cast<std::uint32_t>(i), 0.0};
       if (pop[i].feasible()) {
+        row_of_[i] = feasible_idx_.size();
         feasible_idx_.push_back(i);
         m = pop[i].obj_count;
         flat_.insert(flat_.end(), pop[i].obj.begin(),
                      pop[i].obj.begin() + pop[i].obj_count);
-      } else {
-        pop[i].front = std::numeric_limits<std::size_t>::max();
-        pop[i].crowding = 0.0;
       }
     }
     const std::size_t n = feasible_idx_.size();
-    detail::non_dominated_fronts_flat(flat_.data(), n, m, front_scratch_,
-                                      fronts_);
-    std::size_t max_front = 0;
-    for (const std::size_t f : fronts_) max_front = std::max(max_front, f);
-    for (std::size_t rank = 0; rank <= max_front && n > 0; ++rank) {
-      members_.clear();
+    // The carried-over rows are the population's first feasible rows
+    // (0..k-1), already in lexicographic order; ENS sorts only the rest.
+    prefix_rows_.clear();
+    for (const std::uint32_t i : carried_) {
+      prefix_rows_.push_back(static_cast<std::uint32_t>(row_of_[i]));
+    }
+    detail::non_dominated_fronts_flat(flat_.data(), n, m, prefix_rows_,
+                                      front_scratch_, fronts_);
+    // Group the feasible rows by front with a stable counting sort, so
+    // each front's members keep ascending population order — the order
+    // its crowding sorts see.
+    std::size_t front_count = 0;
+    for (const std::size_t f : fronts_) {
+      front_count = std::max(front_count, f + 1);
+    }
+    front_start_.assign(front_count + 1, 0);
+    for (const std::size_t f : fronts_) ++front_start_[f + 1];
+    for (std::size_t f = 0; f < front_count; ++f) {
+      front_start_[f + 1] += front_start_[f];
+    }
+    members_.resize(n);
+    fill_.assign(front_start_.begin(), front_start_.end() - 1);
+    for (std::size_t k = 0; k < n; ++k) members_[fill_[fronts_[k]]++] = k;
+    for (std::size_t rank = 0; rank < front_count; ++rank) {
+      const std::size_t first = front_start_[rank];
+      const std::size_t count = front_start_[rank + 1] - first;
       member_vals_.clear();
-      for (std::size_t k = 0; k < n; ++k) {
-        if (fronts_[k] == rank) {
-          members_.push_back(k);
-          member_vals_.insert(member_vals_.end(),
-                              flat_.begin() + static_cast<std::ptrdiff_t>(
-                                  k * m),
-                              flat_.begin() + static_cast<std::ptrdiff_t>(
-                                  (k + 1) * m));
-        }
+      for (std::size_t j = first; j < first + count; ++j) {
+        const double* row = flat_.data() + members_[j] * m;
+        member_vals_.insert(member_vals_.end(), row, row + m);
       }
-      // member_vals_ holds the front's rows contiguously; the shared
-      // crowding core gives the same permutations and distances as
-      // crowding_distances() on the same values.
-      detail::crowding_distances_flat(member_vals_.data(), members_.size(),
-                                      m, order_, crowd_);
-      for (std::size_t k = 0; k < members_.size(); ++k) {
-        Individual& ind = pop[feasible_idx_[members_[k]]];
-        ind.front = rank;
-        ind.crowding = crowd_[k];
+      detail::crowding_distances_flat(member_vals_.data(), count, m,
+                                      crowding_keys_, crowd_);
+      for (std::size_t j = 0; j < count; ++j) {
+        detail::RankKey& key = keys_[feasible_idx_[members_[first + j]]];
+        key.front = static_cast<std::uint32_t>(rank);
+        key.crowding = crowd_[j];
       }
+    }
+    std::sort(keys_.begin(), keys_.end(),
+              [](const detail::RankKey& a, const detail::RankKey& b) {
+                return detail::ranks_before(a, b);
+              });
+    return keys_;
+  }
+
+  /// Carries the last rank()'s lexicographic order over to the next
+  /// call, whose population starts with this one's first `survivors`
+  /// individuals in RankKey order (or, with `reordered` false, this
+  /// population unchanged).
+  void carry_over(std::size_t survivors, bool reordered) {
+    new_index_.assign(keys_.size(), kDropped);
+    for (std::size_t k = 0; k < survivors && k < keys_.size(); ++k) {
+      new_index_[reordered ? keys_[k].index : k] =
+          static_cast<std::uint32_t>(k);
+    }
+    carried_.clear();
+    for (const detail::FrontScratch::LexKey& key : front_scratch_.order) {
+      const std::uint32_t i = new_index_[feasible_idx_[key.index]];
+      if (i != kDropped) carried_.push_back(i);
     }
   }
 
  private:
+  static constexpr std::uint32_t kDropped = 0xFFFFFFFFu;
+
   std::vector<std::size_t> feasible_idx_;
   std::vector<double> flat_;
   std::vector<std::size_t> fronts_;
   detail::FrontScratch front_scratch_;
+  std::vector<std::size_t> front_start_;
+  std::vector<std::size_t> fill_;
   std::vector<std::size_t> members_;
   std::vector<double> member_vals_;
-  std::vector<std::size_t> order_;
+  std::vector<detail::CrowdingKey> crowding_keys_;
   std::vector<double> crowd_;
+  std::vector<detail::RankKey> keys_;
+  std::vector<std::size_t> row_of_;     ///< population index → flat row
+  std::vector<std::uint32_t> new_index_;
+  std::vector<std::uint32_t> carried_;  ///< next population, lex order
+  std::vector<std::uint32_t> prefix_rows_;
 };
 
 /// Shared batch-evaluation state: the pool (absent when one worker
@@ -232,17 +268,18 @@ DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
   // worker pool.
   std::vector<Genome> pending(options.population);
   std::vector<Individual> population;
+  std::vector<Individual> survivors;
   population.reserve(2 * options.population);
+  survivors.reserve(2 * options.population);
 
-  const auto absorb_pending = [&](std::vector<Individual>& into) {
+  const auto absorb_pending = [&] {
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      Individual ind;
+      Individual& ind = population.emplace_back();
       const std::size_t count = runner.count(i);
       runner.book(i, pending[i], result);
       ind.obj_count = static_cast<std::uint8_t>(count);
       std::copy_n(runner.row(i), count, ind.obj.begin());
       ind.genome = std::move(pending[i]);
-      into.push_back(std::move(ind));
     }
   };
 
@@ -253,14 +290,21 @@ DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
 
   for (Genome& genome : pending) genome = space.random_genome(rng);
   runner.evaluate(pending);
-  absorb_pending(population);
-  ranker.rank(population);
+  absorb_pending();
+  // The initial population keeps its draw order; its ranks only order
+  // the first tournaments.
+  std::vector<detail::RankKey> rank_of(options.population);
+  for (const detail::RankKey& key : ranker.rank(population)) {
+    rank_of[key.index] = key;
+  }
+  ranker.carry_over(options.population, false);
   notify_progress(options.progress, 0, result, watch);
 
   auto tournament = [&]() -> const Individual& {
-    const Individual& a = population[rng.index(population.size())];
-    const Individual& b = population[rng.index(population.size())];
-    return better(a, b) ? a : b;
+    const std::size_t a = rng.index(population.size());
+    const std::size_t b = rng.index(population.size());
+    return detail::ranks_before(rank_of[a], rank_of[b]) ? population[a]
+                                                        : population[b];
   };
 
   for (std::size_t gen = 0; gen < options.generations; ++gen) {
@@ -281,13 +325,20 @@ DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
     runner.evaluate(pending);
     // Environmental selection over parents + offspring.
     const std::size_t evaluations_before = result.evaluations;
-    absorb_pending(population);
-    ranker.rank(population);
-    std::sort(population.begin(), population.end(),
-              [](const Individual& a, const Individual& b) {
-                return better(a, b);
-              });
-    population.resize(options.population);
+    absorb_pending();
+    const std::vector<detail::RankKey>& order = ranker.rank(population);
+    survivors.clear();
+    for (std::size_t k = 0; k < options.population; ++k) {
+      survivors.push_back(std::move(population[order[k].index]));
+      rank_of[k] = order[k];
+    }
+    // The dropped individuals' genome buffers become the next children,
+    // so a warmed-up generation allocates nothing.
+    for (std::size_t k = options.population; k < order.size(); ++k) {
+      pending[k - options.population].swap(population[order[k].index].genome);
+    }
+    population.swap(survivors);
+    ranker.carry_over(options.population, true);
     if (cadence.due(evaluations_before, result.evaluations)) {
       notify_progress(options.progress, gen + 1, result, watch);
     }

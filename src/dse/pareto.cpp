@@ -1,8 +1,10 @@
 #include "dse/pareto.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace wsnex::dse {
@@ -22,9 +24,19 @@ namespace detail {
 void non_dominated_fronts_flat(const double* flat, std::size_t n,
                                std::size_t m, FrontScratch& scratch,
                                std::vector<std::size_t>& front) {
+  non_dominated_fronts_flat(flat, n, m, {}, scratch, front);
+}
+
+void non_dominated_fronts_flat(const double* flat, std::size_t n,
+                               std::size_t m,
+                               std::span<const std::uint32_t> sorted_prefix,
+                               FrontScratch& scratch,
+                               std::vector<std::size_t>& front) {
   front.assign(n, 0);
+  scratch.order.clear();
   if (n == 0) return;
   if (m == 0) return;  // zero-arity points are all equal: one shared front
+  assert(sorted_prefix.size() <= n);
 
   // ENS-SS (Zhang et al. 2015, "efficient non-dominated sort, sequential
   // search"): process points in lexicographic order, so a point can only
@@ -37,25 +49,42 @@ void non_dominated_fronts_flat(const double* flat, std::size_t n,
   // Pack the primary sort key next to the index: most comparisons resolve
   // on the first objective without touching the point matrix. Ties fall
   // back to the full row; the processing order among exactly-equal rows
-  // is irrelevant (they share a front either way).
+  // is irrelevant (they share a front either way), so none is imposed.
+  // A presorted prefix (the survivors of the last generation) is merged
+  // with the sorted remainder (the offspring) instead of re-sorting all
+  // rows.
+  const auto row_less = [flat, m](const FrontScratch::LexKey& a,
+                                  const FrontScratch::LexKey& b) {
+    if (a.first_objective != b.first_objective) {
+      return a.first_objective < b.first_objective;
+    }
+    const double* pa = flat + a.index * m;
+    const double* pb = flat + b.index * m;
+    for (std::size_t k = 1; k < m; ++k) {
+      if (pa[k] != pb[k]) return pa[k] < pb[k];
+    }
+    return false;
+  };
   std::vector<FrontScratch::LexKey>& order = scratch.order;
+  const std::size_t k = sorted_prefix.size();
   order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::uint32_t row = sorted_prefix[i];
+    assert(row < k && "sorted_prefix must list rows 0..k-1");
+    order[i] = {flat[row * m], row};
+  }
+  for (std::size_t i = k; i < n; ++i) {
     order[i] = {flat[i * m], static_cast<std::uint32_t>(i)};
   }
-  std::sort(order.begin(), order.end(),
-            [flat, m](const FrontScratch::LexKey& a,
-                      const FrontScratch::LexKey& b) {
-              if (a.first_objective != b.first_objective) {
-                return a.first_objective < b.first_objective;
-              }
-              const double* pa = flat + a.index * m;
-              const double* pb = flat + b.index * m;
-              for (std::size_t k = 1; k < m; ++k) {
-                if (pa[k] != pb[k]) return pa[k] < pb[k];
-              }
-              return a.index < b.index;
-            });
+  std::sort(order.begin() + static_cast<std::ptrdiff_t>(k), order.end(),
+            row_less);
+  if (k > 0 && k < n) {
+    scratch.merged.resize(n);
+    std::merge(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
+               order.begin() + static_cast<std::ptrdiff_t>(k), order.end(),
+               scratch.merged.begin(), row_less);
+    order.swap(scratch.merged);
+  }
 
   if (m == 3) {
     // Three-objective fast path. Every already-placed point q satisfies
@@ -181,27 +210,31 @@ std::vector<std::size_t> non_dominated_fronts(
 namespace detail {
 
 void crowding_distances_flat(const double* vals, std::size_t n,
-                             std::size_t m,
-                             std::vector<std::size_t>& order_scratch,
+                             std::size_t m, std::vector<CrowdingKey>& keys,
                              std::vector<double>& out) {
   out.assign(n, 0.0);
   if (n == 0) return;
-  order_scratch.resize(n);
+  if (n <= 2 && m > 0) {
+    // Every row is a boundary of every objective, whatever the order.
+    std::fill(out.begin(), out.end(), std::numeric_limits<double>::infinity());
+    return;
+  }
+  keys.resize(n);
   for (std::size_t obj = 0; obj < m; ++obj) {
-    for (std::size_t i = 0; i < n; ++i) order_scratch[i] = i;
-    std::sort(order_scratch.begin(), order_scratch.end(),
-              [vals, m, obj](std::size_t a, std::size_t b) {
-                return vals[a * m + obj] < vals[b * m + obj];
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = {vals[i * m + obj], static_cast<std::uint32_t>(i)};
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const CrowdingKey& a, const CrowdingKey& b) {
+                return a.value < b.value;
               });
-    const double lo = vals[order_scratch.front() * m + obj];
-    const double hi = vals[order_scratch.back() * m + obj];
-    out[order_scratch.front()] = std::numeric_limits<double>::infinity();
-    out[order_scratch.back()] = std::numeric_limits<double>::infinity();
+    const double lo = keys.front().value;
+    const double hi = keys.back().value;
+    out[keys.front().index] = std::numeric_limits<double>::infinity();
+    out[keys.back().index] = std::numeric_limits<double>::infinity();
     if (hi == lo) continue;
     for (std::size_t k = 1; k + 1 < n; ++k) {
-      out[order_scratch[k]] += (vals[order_scratch[k + 1] * m + obj] -
-                                vals[order_scratch[k - 1] * m + obj]) /
-                               (hi - lo);
+      out[keys[k].index] += (keys[k + 1].value - keys[k - 1].value) / (hi - lo);
     }
   }
 }
@@ -218,8 +251,8 @@ std::vector<double> crowding_distances(const std::vector<Objectives>& front) {
     assert(front[i].size() == m);
     std::copy(front[i].begin(), front[i].end(), flat.begin() + i * m);
   }
-  std::vector<std::size_t> order;
-  detail::crowding_distances_flat(flat.data(), n, m, order, distance);
+  std::vector<detail::CrowdingKey> keys;
+  detail::crowding_distances_flat(flat.data(), n, m, keys, distance);
   return distance;
 }
 
@@ -241,69 +274,95 @@ bool ParetoArchive::insert(const Genome& genome,
   return true;
 }
 
+namespace {
+
+/// True iff some row of the n-row, arity-m matrix `rows` equals or
+/// dominates `c` (no coordinate worse); `*hit` is then one such row.
+/// Newest rows first: the insert keeps the latest rejector there. With
+/// three objectives, four rows per step and no branch inside a step.
+bool weakly_dominated(const double* rows, std::size_t n, std::size_t m,
+                      const double* c, std::size_t* hit) {
+  std::size_t i = n;
+  if (m == 3) {
+    const auto covers = [c](const double* e) {
+      return !((e[0] > c[0]) | (e[1] > c[1]) | (e[2] > c[2]));
+    };
+    while (i >= 4) {
+      i -= 4;
+      const double* e = rows + 3 * i;
+      const unsigned mask = static_cast<unsigned>(covers(e)) |
+                            static_cast<unsigned>(covers(e + 3)) << 1 |
+                            static_cast<unsigned>(covers(e + 6)) << 2 |
+                            static_cast<unsigned>(covers(e + 9)) << 3;
+      if (mask != 0) {
+        *hit = i + static_cast<std::size_t>(std::bit_width(mask)) - 1;
+        return true;
+      }
+    }
+  }
+  while (i-- > 0) {
+    const double* e = rows + m * i;
+    bool e_worse = false;
+    for (std::size_t k = 0; k < m; ++k) e_worse |= e[k] > c[k];
+    if (!e_worse) {
+      *hit = i;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 bool ParetoArchive::scan_and_evict(std::span<const double> objectives) {
   const std::size_t m = objectives.size();
   if (entries_.empty()) arity_ = m;
   assert(m == arity_ && "ParetoArchive: mixed objective arity");
 
-  // Single pass: each member is compared against the candidate once with
-  // a combined check; members the candidate dominates are evicted by
-  // swapping the last entry into the slot. A member that dominates (or
-  // equals) the candidate cannot coexist with members the candidate
-  // dominates — the archive is mutually non-dominated and dominance is
-  // transitive — so rejection can only happen before any eviction, and
-  // both the accept/reject decision and the surviving member set are
-  // independent of the scan order. The scan runs newest-first: late
-  // arrivals sit near the current front and reject dominated candidates
-  // (the common case) after the fewest comparisons. The three-objective
-  // fast path is branchless.
+  // Two passes. A member that equals or dominates the candidate cannot
+  // coexist with a member the candidate dominates — the archive is
+  // mutually non-dominated and dominance is transitive — so the first
+  // pass decides rejection on its own, and only an accepted candidate
+  // pays for the second, which evicts the members it dominates. Both the
+  // decision and the surviving member set are independent of scan order
+  // (entries() order is not part of the contract).
   const double* c = objectives.data();
-  // Rejection fast path: consecutive DSE candidates tend to be dominated
-  // by the same elite member, so probe the member that rejected the last
-  // candidate first (scan order does not affect the outcome).
-  if (last_rejector_ < entries_.size()) {
-    const double* e = flat_.data() + last_rejector_ * m;
-    bool e_worse;
-    if (m == 3) {
-      e_worse = (e[0] > c[0]) | (e[1] > c[1]) | (e[2] > c[2]);
-    } else {
-      e_worse = false;
-      for (std::size_t k = 0; k < m; ++k) e_worse |= e[k] > c[k];
+  const std::size_t n = entries_.size();
+  std::size_t rejector = 0;
+  if (weakly_dominated(flat_.data(), n, m, c, &rejector)) {
+    // Consecutive DSE candidates tend to be dominated by the same elite
+    // member: move it to the newest slot, which the next scan reads first.
+    const std::size_t newest = n - 1;
+    if (rejector != newest) {
+      std::swap(entries_[rejector], entries_[newest]);
+      std::swap_ranges(flat_.begin() + rejector * m,
+                       flat_.begin() + (rejector + 1) * m,
+                       flat_.begin() + newest * m);
     }
-    if (!e_worse) return false;
+    return false;
   }
-  std::size_t i = entries_.size();
-  while (i-- > 0) {
+
+  // Evict every member the candidate dominates (no candidate coordinate
+  // worse; the first pass ruled out equality): swap-erase, scanning
+  // backwards so the entry swapped in has already been examined.
+  for (std::size_t i = n; i-- > 0;) {
     const double* e = flat_.data() + i * m;
-    bool e_worse;  // any e[k] > candidate[k]
-    bool c_worse;  // any candidate[k] > e[k]
+    bool c_worse;
     if (m == 3) {
-      e_worse = (e[0] > c[0]) | (e[1] > c[1]) | (e[2] > c[2]);
       c_worse = (c[0] > e[0]) | (c[1] > e[1]) | (c[2] > e[2]);
     } else {
-      e_worse = c_worse = false;
-      for (std::size_t k = 0; k < m; ++k) {
-        e_worse |= e[k] > c[k];
-        c_worse |= c[k] > e[k];
-      }
+      c_worse = false;
+      for (std::size_t k = 0; k < m; ++k) c_worse |= c[k] > e[k];
     }
-    if (!e_worse) {
-      last_rejector_ = i;  // member equals or dominates the candidate
-      return false;
+    if (c_worse) continue;
+    const std::size_t last = entries_.size() - 1;
+    if (i != last) {
+      entries_[i] = std::move(entries_[last]);
+      std::copy(flat_.begin() + last * m, flat_.begin() + (last + 1) * m,
+                flat_.begin() + i * m);
     }
-    if (!c_worse) {
-      // Candidate dominates the member: swap-erase eviction. The entry
-      // swapped in comes from the tail, which this backward scan has
-      // already examined — no re-check needed.
-      const std::size_t last = entries_.size() - 1;
-      if (i != last) {
-        entries_[i] = std::move(entries_[last]);
-        std::copy(flat_.begin() + last * m, flat_.begin() + (last + 1) * m,
-                  flat_.begin() + i * m);
-      }
-      entries_.pop_back();
-      flat_.resize(last * m);
-    }
+    entries_.pop_back();
+    flat_.resize(last * m);
   }
   return true;
 }
@@ -451,20 +510,25 @@ double hypervolume3_flat(const double* flat, std::size_t n, std::size_t stride,
   std::vector<double>& ys = scratch.stair_y;
   xs.clear();
   ys.clear();
+  // The area is read only when z advances, so it is recomputed there —
+  // once per distinct level, and only if the staircase changed. Archives
+  // share few z values (the delay bounds come from a small MAC grid).
   double volume = 0.0;
   double area = 0.0;
+  bool stale = false;
   double z_prev = flat[order.front() * stride + 2];
   for (const std::uint32_t idx : order) {
     const double* row = flat + idx * stride;
     const double z = row[2];
     if (z > z_prev) {
+      if (stale) area = staircase_area(xs, ys, ref[0], ref[1]);
+      stale = false;
       volume += area * (z - z_prev);
       z_prev = z;
     }
-    if (staircase_insert(xs, ys, row[0], row[1])) {
-      area = staircase_area(xs, ys, ref[0], ref[1]);
-    }
+    stale |= staircase_insert(xs, ys, row[0], row[1]);
   }
+  if (stale) area = staircase_area(xs, ys, ref[0], ref[1]);
   volume += area * (ref[2] - z_prev);
   return volume;
 }

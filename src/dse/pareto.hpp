@@ -45,6 +45,7 @@ struct FrontScratch {
     double o0_min;
   };
   std::vector<LexKey> order;  // lexicographic processing order
+  std::vector<LexKey> merged;  // merge buffer for a presorted prefix
   std::vector<std::vector<std::uint32_t>> front_members;
   std::vector<std::vector<StairStep>> staircases;
 };
@@ -53,20 +54,62 @@ struct FrontScratch {
 /// row-major in `flat`. Writes the front index of each point into
 /// `front` (resized to n). Identical output to non_dominated_fronts(),
 /// which delegates here — front indices are a well-defined property of
-/// the point set, independent of the algorithm.
+/// the point set, independent of the algorithm. On return
+/// `scratch.order` lists the rows in the lexicographic order processed.
 void non_dominated_fronts_flat(const double* flat, std::size_t n,
                                std::size_t m, FrontScratch& scratch,
                                std::vector<std::size_t>& front);
 
+/// The same, when rows 0..k-1 are already known in lexicographic order:
+/// `sorted_prefix` lists exactly those k rows in that order (NSGA-II's
+/// survivors, ordered by the previous generation's sort). Only rows
+/// k..n-1 are sorted, then merged in. Ties between a prefix row and a
+/// sorted row may land in either order, which ENS is free to process.
+void non_dominated_fronts_flat(const double* flat, std::size_t n,
+                               std::size_t m,
+                               std::span<const std::uint32_t> sorted_prefix,
+                               FrontScratch& scratch,
+                               std::vector<std::size_t>& front);
+
+/// Crowding sort key: one objective value and its row index.
+struct CrowdingKey {
+  double value;
+  std::uint32_t index;
+};
+
 /// Crowding distances over n contiguous rows of arity m, written into
-/// `out` (resized to n); `order_scratch` is reused across calls. Shared
-/// core of crowding_distances() and the optimizers' ranking path, so both
-/// produce identical permutations (hence identical distances) for the
-/// same values.
+/// `out` (resized to n); `keys` is reused across calls. Shared core of
+/// crowding_distances() and the optimizers' ranking path. Each objective
+/// is ordered by std::sort over (value, index) keys compared on the value
+/// alone, so the permutation — and with it which of several tied rows
+/// gets a boundary's infinite distance — is exactly that of an index sort
+/// with the same comparator: std::sort's moves depend only on comparison
+/// outcomes. Ties are deliberately not broken by index.
 void crowding_distances_flat(const double* vals, std::size_t n,
-                             std::size_t m,
-                             std::vector<std::size_t>& order_scratch,
+                             std::size_t m, std::vector<CrowdingKey>& keys,
                              std::vector<double>& out);
+
+/// NSGA-II's environmental-selection key: an individual's front rank
+/// (kInfeasibleFront when infeasible), its crowding distance (0 when
+/// infeasible) and its population index.
+struct RankKey {
+  static constexpr std::uint32_t kInfeasibleFront = 0xFFFFFFFFu;
+  std::uint32_t front;
+  std::uint32_t index;
+  double crowding;
+};
+
+/// NSGA-II's "better" order over RankKeys: feasible first, then lower
+/// front, then larger crowding distance. Equal to the feasibility /
+/// front / crowding comparison over whole individuals: an infeasible key
+/// carries the largest front and crowding 0, so it loses to every
+/// feasible key and ties every infeasible one. The population is sorted
+/// with std::sort under this order and no tie-breaker — tie order decides
+/// which equal individuals survive and thus the tournament picks.
+inline bool ranks_before(const RankKey& a, const RankKey& b) {
+  return (a.front < b.front) |
+         ((a.front == b.front) & (a.crowding > b.crowding));
+}
 
 /// dominates() over flat rows (does q dominate p?) — the shared hot-path
 /// predicate behind the front sort and the optimizers; same semantics as
@@ -101,7 +144,8 @@ struct ArchiveEntry {
 ///
 /// The member *set* is a pure function of the insertion sequence, but the
 /// order of entries() is not part of the contract: eviction swaps the
-/// last entry into the vacated slot (single-pass insert, no shifting).
+/// last entry into the vacated slot, and a member that rejects a
+/// candidate moves to the newest slot, where the next scan starts.
 /// Use same_entries() for order-insensitive comparisons. All members must
 /// share one objective arity.
 class ParetoArchive {
@@ -141,11 +185,6 @@ class ParetoArchive {
   /// same order as entries_) so insert()/covered() scan flat memory.
   std::vector<double> flat_;
   std::size_t arity_ = 0;
-  /// Index of the member that rejected the last candidate — probed first
-  /// on the next insert (a pure scan-order heuristic; decisions are
-  /// scan-order independent). May be stale after evictions; validated
-  /// against size() before use.
-  std::size_t last_rejector_ = static_cast<std::size_t>(-1);
 };
 
 /// Order-insensitive comparison of two archives: true iff they hold the

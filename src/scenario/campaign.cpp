@@ -1,10 +1,13 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 
 #include <fstream>
 #include <memory>
@@ -48,15 +51,6 @@ util::metrics::Histogram& scenario_seconds() {
       "Wall-clock duration of one executed scenario, evaluation through "
       "persist",
       util::metrics::default_latency_bounds());
-}
-
-std::string genome_field(const dse::Genome& genome) {
-  std::string out;
-  for (std::size_t i = 0; i < genome.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(genome[i]);
-  }
-  return out;
 }
 
 /// Canonical archive row order for result files: lexicographic by
@@ -103,14 +97,37 @@ void write_archive_csv(const std::string& path,
   util::CsvWriter csv(path);
   csv.write_row({"E_net_mJ_per_s", "PRD_net_percent", "D_net_s",
                  "lifetime_days", "genome", "config"});
+  // Every row is formatted into one reused buffer; `ends` marks where
+  // each of its six fields stops.
+  std::string row;
+  std::array<std::size_t, 6> ends{};
+  std::array<std::string_view, 6> fields;
   const auto& entries = archive.entries();
   for (const std::size_t i : rows) {
     const dse::ArchiveEntry& e = entries[i];
-    csv.write_row({util::format_double_shortest(e.objectives[0]),
-                   util::format_double_shortest(e.objectives[1]),
-                   util::format_double_shortest(e.objectives[2]),
-                   util::format_double_shortest(lifetime_days[i]),
-                   genome_field(e.genome), space.describe(e.genome)});
+    row.clear();
+    for (std::size_t k = 0; k < 3; ++k) {
+      util::append_double_shortest(row, e.objectives[k]);
+      ends[k] = row.size();
+    }
+    util::append_double_shortest(row, lifetime_days[i]);
+    ends[3] = row.size();
+    for (std::size_t g = 0; g < e.genome.size(); ++g) {
+      if (g > 0) row += ' ';
+      char digits[8];
+      const auto gene =
+          std::to_chars(digits, digits + sizeof(digits), e.genome[g]);
+      row.append(digits, gene.ptr);
+    }
+    ends[4] = row.size();
+    space.describe_to(e.genome, row);
+    ends[5] = row.size();
+    std::size_t begin = 0;
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+      fields[k] = std::string_view(row).substr(begin, ends[k] - begin);
+      begin = ends[k];
+    }
+    csv.write_row(fields);
   }
   // A failed write (a full disk) throws here, before the summary and the
   // manifest record the scenario complete: it stays pending for a resume.
@@ -162,6 +179,7 @@ util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
 struct ConvergenceState {
   util::events::Event event;  ///< kGeneration template: job and scenario set
   std::ofstream out;          ///< progress.jsonl stream (closed when disabled)
+  std::string line;           ///< the record being written, reused
   std::uint64_t records = 0;  ///< records written to `out` so far
   util::events::EventRing* events = nullptr;
   dse::Objectives reference;
@@ -203,14 +221,15 @@ dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
     // bounds.
     const dse::ParetoArchive& archive = *snap.archive;
     if (archive.arity() == 3) {
-      for (const dse::ArchiveEntry& entry : archive.entries()) {
-        if (entry.objectives[1] <= state->constraints.max_prd_percent &&
-            entry.objectives[2] <= state->constraints.max_delay_s) {
+      const double* rows = archive.objectives_flat().data();
+      for (std::size_t i = 0; i < archive.size(); ++i) {
+        const double* row = rows + 3 * i;
+        if (row[1] <= state->constraints.max_prd_percent &&
+            row[2] <= state->constraints.max_delay_s) {
           ++e.feasible;
         }
       }
-      e.hypervolume = dse::hypervolume3_flat(archive.objectives_flat().data(),
-                                             archive.size(), 3,
+      e.hypervolume = dse::hypervolume3_flat(rows, archive.size(), 3,
                                              state->reference.data(),
                                              state->scratch);
     }
@@ -218,7 +237,11 @@ dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
     if (state->out.is_open()) {
       e.seq = ++state->records;
       e.time_s = snap.elapsed_s;
-      state->out << util::events::event_to_json(e).dump() << '\n';
+      state->line.clear();
+      util::events::append_event_json(state->line, e);
+      state->line += '\n';
+      state->out.write(state->line.data(),
+                       static_cast<std::streamsize>(state->line.size()));
       state->out.flush();
     }
   };

@@ -140,7 +140,7 @@ struct CampaignOptions {
   /// most ~66 per run) each executed scenario appends one util::events
   /// `generation` event — evaluations, archive size, feasible count,
   /// hypervolume w.r.t. hv_reference_point() — to
-  /// results/<name>/progress.jsonl as util::events::event_to_json, one
+  /// results/<name>/progress.jsonl as util::events::append_event_json, one
   /// object per line, flushed per record so the file can be tailed live.
   /// There `seq` numbers the file's records from 1 and `t` is the
   /// optimizer's elapsed seconds; otherwise each record equals the event

@@ -1,8 +1,8 @@
 #include "util/csv.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <sstream>
 
 #include "util/fsio.hpp"
 
@@ -24,40 +24,42 @@ void CsvWriter::close() {
   }
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
+void CsvWriter::write_row(std::span<const std::string_view> fields) {
+  line_.clear();
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << escape(fields[i]);
+    if (i > 0) line_ += ',';
+    const std::string_view field = fields[i];
+    if (field.find_first_of(",\"\n") == std::string_view::npos) {
+      line_ += field;
+      continue;
+    }
+    line_ += '"';
+    for (const char c : field) {
+      if (c == '"') line_ += '"';
+      line_ += c;
+    }
+    line_ += '"';
   }
-  out_ << '\n';
-  ++rows_;
-}
-
-void CsvWriter::write_row(std::initializer_list<std::string> fields) {
-  write_row(std::vector<std::string>(fields));
+  write_line();
 }
 
 void CsvWriter::write_numeric_row(const std::vector<double>& fields) {
-  std::vector<std::string> text;
-  text.reserve(fields.size());
-  for (double f : fields) {
-    std::ostringstream os;
-    os.precision(17);
-    os << f;
-    text.push_back(os.str());
+  line_.clear();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) line_ += ',';
+    // A number never needs quoting.
+    char buf[32];
+    const auto result = std::to_chars(buf, buf + sizeof(buf), fields[i],
+                                      std::chars_format::general, 17);
+    line_.append(buf, result.ptr);
   }
-  write_row(text);
+  write_line();
 }
 
-std::string CsvWriter::escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string quoted = "\"";
-  for (char c : field) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
+void CsvWriter::write_line() {
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  ++rows_;
 }
 
 }  // namespace wsnex::util

@@ -1,10 +1,13 @@
-// Minimal CSV writer used by examples and benches to export series that
-// correspond to the paper's figures.
+// Minimal CSV writer: the campaign archives, validation reports and the
+// examples' figure series all go through it.
 #pragma once
 
+#include <cstddef>
 #include <fstream>
 #include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wsnex::util {
@@ -24,21 +27,28 @@ class CsvWriter {
   /// last row.
   void close();
 
-  /// Writes a header or data row of string fields.
-  void write_row(const std::vector<std::string>& fields);
-  void write_row(std::initializer_list<std::string> fields);
+  /// Writes a header or data row. The fields are only read during the
+  /// call, so they may be views into one buffer the caller reuses for
+  /// every row; a field holding ',', '"' or '\n' is quoted, with its
+  /// quotes doubled.
+  void write_row(std::span<const std::string_view> fields);
+  void write_row(std::initializer_list<std::string_view> fields) {
+    write_row(std::span<const std::string_view>(fields.begin(), fields.size()));
+  }
 
-  /// Writes a row of numeric fields with full double precision.
+  /// Writes a row of numeric fields with full double precision (%.17g).
   void write_numeric_row(const std::vector<double>& fields);
 
   /// Number of rows written so far (including headers).
   std::size_t rows_written() const { return rows_; }
 
  private:
-  static std::string escape(const std::string& field);
+  /// Ends `line_` and writes it.
+  void write_line();
 
   std::string path_;
   std::ofstream out_;
+  std::string line_;  ///< the row being assembled, reused across rows
   std::size_t rows_ = 0;
 };
 

@@ -1,7 +1,12 @@
 #include "util/events.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstring>
+#include <stdexcept>
+
+#include "util/json.hpp"
 
 namespace wsnex::util::events {
 
@@ -19,6 +24,14 @@ void copy_truncated(char* dst, std::size_t dst_size, std::string_view src) {
   const std::size_t n = std::min(src.size(), dst_size - 1);
   std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
+}
+
+void append_int(std::string& out, std::uint64_t value) {
+  // As int64, which is how the JSON writer carries integers.
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf),
+                                    static_cast<std::int64_t>(value));
+  out.append(buf, result.ptr);
 }
 
 }  // namespace
@@ -50,30 +63,46 @@ Event make_event(Kind kind, std::string_view job, std::string_view scenario,
   return e;
 }
 
-Json event_to_json(const Event& event) {
-  Json obj = Json::object();
-  obj.set("seq", Json(static_cast<std::int64_t>(event.seq)));
-  obj.set("t", Json(event.time_s));
-  obj.set("kind", Json(std::string(kind_name(event.kind))));
-  obj.set("job", Json(std::string(event.job)));
-  obj.set("scenario", Json(std::string(event.scenario)));
-  obj.set("detail", Json(std::string(event.detail)));
-  if (event.kind == Kind::kGeneration) {
-    obj.set("generation", Json(static_cast<std::int64_t>(event.generation)));
-    obj.set("evaluations", Json(static_cast<std::int64_t>(event.evaluations)));
-    obj.set("archive_size",
-            Json(static_cast<std::int64_t>(event.archive_size)));
-    obj.set("feasible", Json(static_cast<std::int64_t>(event.feasible)));
-    obj.set("hypervolume", Json(event.hypervolume));
-    obj.set("evals_per_s", Json(event.evals_per_s));
+void append_event_json(std::string& out, const Event& event) {
+  const bool generation = event.kind == Kind::kGeneration;
+  if (!std::isfinite(event.time_s) ||
+      (generation && (!std::isfinite(event.hypervolume) ||
+                      !std::isfinite(event.evals_per_s)))) {
+    throw std::invalid_argument("append_event_json: non-finite number");
   }
-  return obj;
+  out += "{\"seq\":";
+  append_int(out, event.seq);
+  out += ",\"t\":";
+  append_double_shortest(out, event.time_s);
+  out += ",\"kind\":";
+  append_json_string(out, kind_name(event.kind));
+  out += ",\"job\":";
+  append_json_string(out, event.job);
+  out += ",\"scenario\":";
+  append_json_string(out, event.scenario);
+  out += ",\"detail\":";
+  append_json_string(out, event.detail);
+  if (generation) {
+    out += ",\"generation\":";
+    append_int(out, event.generation);
+    out += ",\"evaluations\":";
+    append_int(out, event.evaluations);
+    out += ",\"archive_size\":";
+    append_int(out, event.archive_size);
+    out += ",\"feasible\":";
+    append_int(out, event.feasible);
+    out += ",\"hypervolume\":";
+    append_double_shortest(out, event.hypervolume);
+    out += ",\"evals_per_s\":";
+    append_double_shortest(out, event.evals_per_s);
+  }
+  out += '}';
 }
 
 std::string events_to_jsonl(const std::vector<Event>& batch) {
   std::string out;
   for (const Event& e : batch) {
-    out += event_to_json(e).dump();
+    append_event_json(out, e);
     out += '\n';
   }
   return out;

@@ -27,8 +27,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/json.hpp"
-
 namespace wsnex::util::events {
 
 /// Event taxonomy. Lifecycle events describe jobs/scenarios moving through
@@ -76,9 +74,15 @@ static_assert(std::is_trivially_copyable_v<Event>,
 Event make_event(Kind kind, std::string_view job, std::string_view scenario,
                  std::string_view detail);
 
-/// One event as a JSON object (kind serialized by name, progress fields only
-/// when the kind carries them).
-Json event_to_json(const Event& event);
+/// Appends one event as a compact JSON object to `out` — the one event
+/// serializer, behind progress.jsonl and the serve events route. Keys in
+/// order: seq, t, kind (by name), job, scenario, detail, then generation,
+/// evaluations, archive_size, feasible, hypervolume and evals_per_s for
+/// `kGeneration` only. Integers print as int64, doubles in their
+/// shortest round-trip form and strings escaped, byte for byte as
+/// util::Json::dump writes the same object. Throws std::invalid_argument,
+/// leaving `out` unchanged, when a double is not finite.
+void append_event_json(std::string& out, const Event& event);
 
 /// Serializes events as JSON Lines (one object per line, each '\n'-terminated).
 std::string events_to_jsonl(const std::vector<Event>& batch);

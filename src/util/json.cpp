@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -271,7 +272,9 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void dump_string(std::string& out, const std::string& s) {
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -296,23 +299,47 @@ void dump_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-}  // namespace
-
-std::string format_double_shortest(double value) {
+void append_double_shortest(std::string& out, double value) {
   // to_chars(general, precision) is specified as printf's "%.*g" in the C
   // locale and from_chars as strtod's pattern, so this is the snprintf /
   // strtod loop byte for byte, without the format parsing and locale work.
+  //
+  // The loop starts at the first precision that can round-trip: the
+  // shortest round-trip form (to_chars without a precision) has the
+  // fewest significant digits any round-tripping decimal has, so every
+  // precision below that count fails, and skipping those attempts does
+  // not change which one succeeds. Precision 17 always round-trips.
   char buf[32];
+  int first = 15;
+  if (std::isfinite(value) && value != 0.0) {
+    const char* shortest_end =
+        std::to_chars(buf, buf + sizeof(buf), value,
+                      std::chars_format::scientific)
+            .ptr;
+    // d[.ddd]e±XX, after an optional sign: count the mantissa digits.
+    int digits = 0;
+    for (const char* c = buf; c != shortest_end && *c != 'e'; ++c) {
+      digits += *c >= '0' && *c <= '9';
+    }
+    first = std::max(first, digits);
+  }
   char* end = buf;
-  for (int precision = 15; precision <= 17; ++precision) {
+  for (int precision = first; precision <= 17; ++precision) {
     end = std::to_chars(buf, buf + sizeof(buf), value,
                         std::chars_format::general, precision)
               .ptr;
+    if (precision == 17) break;
     double back = 0.0;
     const std::from_chars_result parsed = std::from_chars(buf, end, back);
     if (parsed.ec == std::errc() && back == value) break;
   }
-  return std::string(buf, end);
+  out.append(buf, end);
+}
+
+std::string format_double_shortest(double value) {
+  std::string out;
+  append_double_shortest(out, value);
+  return out;
 }
 
 JsonParseError::JsonParseError(const std::string& message, std::size_t line,
@@ -464,11 +491,11 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
         if (!std::isfinite(n.dbl_value)) {
           throw std::invalid_argument("Json::dump: non-finite number");
         }
-        out += format_double_shortest(n.dbl_value);
+        append_double_shortest(out, n.dbl_value);
       }
       return;
     }
-    case 3: dump_string(out, std::get<std::string>(value_)); return;
+    case 3: append_json_string(out, std::get<std::string>(value_)); return;
     case 4: {
       const Array& a = std::get<Array>(value_);
       if (a.empty()) {
@@ -495,7 +522,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < o.size(); ++i) {
         if (i > 0) out += ',';
         newline_indent(depth + 1);
-        dump_string(out, o[i].first);
+        append_json_string(out, o[i].first);
         out += indent >= 0 ? ": " : ":";
         o[i].second.dump_to(out, indent, depth + 1);
       }

@@ -27,6 +27,15 @@ namespace wsnex::util {
 /// export so both emit identical, lossless numbers.
 std::string format_double_shortest(double value);
 
+/// Appends format_double_shortest(value) to `out` without a temporary
+/// string (the same implementation; the archive rows and event records
+/// format straight into their reused buffers).
+void append_double_shortest(std::string& out, double value);
+
+/// Appends `text` as a JSON string literal: quoted, with '"', '\\' and
+/// control bytes escaped exactly as Json::dump writes them.
+void append_json_string(std::string& out, std::string_view text);
+
 /// Parse failure with the 1-based line/column of the offending input.
 class JsonParseError : public std::runtime_error {
  public:

@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,39 +21,9 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& lane : state_) lane = splitmix64(s);
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform01() {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   assert(lo <= hi);
   return lo + (hi - lo) * uniform01();
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // may wrap to 0 for full range
-  if (span == 0) return static_cast<std::int64_t>((*this)());
-  // Lemire-style rejection to remove modulo bias.
-  const std::uint64_t threshold = (0 - span) % span;
-  for (;;) {
-    const std::uint64_t r = (*this)();
-    if (r >= threshold) return lo + static_cast<std::int64_t>(r % span);
-  }
 }
 
 double Rng::normal() {
@@ -81,18 +47,10 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-bool Rng::bernoulli(double p) { return uniform01() < p; }
-
 double Rng::exponential(double rate) {
   assert(rate > 0.0);
   // 1 - uniform01() is in (0, 1], so the log argument is never zero.
   return -std::log(1.0 - uniform01()) / rate;
-}
-
-std::size_t Rng::index(std::size_t size) {
-  assert(size > 0);
-  return static_cast<std::size_t>(
-      uniform_int(0, static_cast<std::int64_t>(size - 1)));
 }
 
 Rng Rng::split() {

@@ -1,10 +1,10 @@
 // Counting replacements of the global allocation functions, for the
-// simulator's allocation gates. Replacement functions are defined once
-// per program, so include this from exactly one source file of a test
-// binary. Every block counted here is malloc'd and freed with free(); the
-// array forms either forward here or, under ASan and TSan, stay with the
-// sanitizer runtime as a pair, so no allocation is ever released by a
-// different allocator.
+// allocation gates (simulator replicates, NSGA-II generations).
+// Replacement functions are defined once per program, so include this
+// from exactly one source file of a test binary. Every block counted
+// here is malloc'd and freed with free(); the array forms either forward
+// here or, under ASan and TSan, stay with the sanitizer runtime as a
+// pair, so no allocation is ever released by a different allocator.
 #pragma once
 
 #include <atomic>

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "scenario/registry.hpp"
 
 namespace wsnex::dse {
 namespace {
@@ -178,6 +181,61 @@ TEST(DesignSpace, SfoGapClampsAtZero) {
   util::Rng rng(7);
   const model::NetworkDesign d = space.decode(space.random_genome(rng));
   EXPECT_EQ(d.mac.sfo, 0u);
+}
+
+/// describe() as it was written before the label table: decode, then
+/// stream every field with the stream's default formatting.
+std::string reference_describe(const DesignSpace& space, const Genome& genome) {
+  const model::NetworkDesign design = space.decode(genome);
+  std::ostringstream os;
+  os << "L=" << design.mac.payload_bytes << " BCO=" << design.mac.bco
+     << " SFO=" << design.mac.sfo << " |";
+  for (const model::NodeConfig& node : design.nodes) {
+    os << ' ' << model::to_string(node.app) << "(CR=" << node.cr
+       << ",f=" << node.mcu_freq_khz / 1000.0 << "MHz)";
+  }
+  return os.str();
+}
+
+/// Every genome of the space when it is small, else random ones plus the
+/// all-first and all-last corners.
+void expect_describe_matches_reference(const DesignSpace& space,
+                                       const std::string& label) {
+  util::Rng rng(5);
+  std::vector<Genome> genomes = {Genome(space.genome_length(), 0)};
+  Genome last(space.genome_length());
+  for (std::size_t g = 0; g < last.size(); ++g) {
+    last[g] = static_cast<std::uint16_t>(space.domain_size(g) - 1);
+  }
+  genomes.push_back(last);
+  for (int i = 0; i < 500; ++i) genomes.push_back(space.random_genome(rng));
+  std::string appended = "prefix";
+  for (const Genome& genome : genomes) {
+    const std::string want = reference_describe(space, genome);
+    EXPECT_EQ(space.describe(genome), want) << label;
+    appended.resize(6);
+    space.describe_to(genome, appended);
+    EXPECT_EQ(appended, "prefix" + want) << label;
+  }
+}
+
+TEST(DesignSpace, DescribeMatchesStreamReferenceOnEveryPreset) {
+  for (const auto& spec : scenario::all_presets()) {
+    expect_describe_matches_reference(DesignSpace(spec.design_space_config()),
+                                      spec.name);
+  }
+}
+
+TEST(DesignSpace, DescribeMatchesStreamReferenceInExponentForm) {
+  // Values whose %g form is exponential or rounded to six digits, and an
+  // SFO gap larger than the BCO (clamped at 0).
+  DesignSpaceConfig cfg = DesignSpaceConfig::case_study(7);
+  cfg.cr_grid = {1e-5, 0.123456789, 0.5, 2.5e-7, 1234567.0, 0.1, 1e21};
+  cfg.mcu_freq_khz_grid = {12345678.0, 0.001, 1000.0, 8000.0, 1e-2};
+  cfg.payload_grid = {1, 114, 65535};
+  cfg.bco_grid = {0, 1, 14};
+  cfg.sfo_gap_grid = {0, 2, 15};
+  expect_describe_matches_reference(DesignSpace(cfg), "exponent grids");
 }
 
 }  // namespace

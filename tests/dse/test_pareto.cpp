@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "util/random.hpp"
 
@@ -117,6 +122,198 @@ TEST(Archive, InvariantUnderRandomInsertions) {
     }
   }
   EXPECT_GT(archive.size(), 5u);
+}
+
+// --- Reference equivalence for the key-sorted ranking paths -------------
+
+/// Crowding distances as they were computed before the key sorts: an
+/// index permutation sorted through the value matrix.
+std::vector<double> reference_crowding(const std::vector<double>& vals,
+                                       std::size_t n, std::size_t m) {
+  std::vector<double> out(n, 0.0);
+  if (n == 0) return out;
+  std::vector<std::size_t> order(n);
+  for (std::size_t obj = 0; obj < m; ++obj) {
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return vals[a * m + obj] < vals[b * m + obj];
+    });
+    const double lo = vals[order.front() * m + obj];
+    const double hi = vals[order.back() * m + obj];
+    out[order.front()] = std::numeric_limits<double>::infinity();
+    out[order.back()] = std::numeric_limits<double>::infinity();
+    if (hi == lo) continue;
+    for (std::size_t k = 1; k + 1 < n; ++k) {
+      out[order[k]] += (vals[order[k + 1] * m + obj] -
+                        vals[order[k - 1] * m + obj]) /
+                       (hi - lo);
+    }
+  }
+  return out;
+}
+
+/// Tie-heavy rows: values drawn from a few levels, whole rows repeated.
+std::vector<double> tie_heavy_rows(util::Rng& rng, std::size_t n,
+                                   std::size_t m) {
+  std::vector<double> vals;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.25)) {
+      const std::size_t j = rng.index(i);  // duplicate an earlier row
+      for (std::size_t k = 0; k < m; ++k) vals.push_back(vals[j * m + k]);
+      continue;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      vals.push_back(0.25 * static_cast<double>(rng.index(5)));
+    }
+  }
+  return vals;
+}
+
+TEST(Crowding, KeySortMatchesIndexSortReferenceBitForBit) {
+  util::Rng rng(2024);
+  std::vector<detail::CrowdingKey> keys;
+  std::vector<double> got;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = rng.index(40);
+    const std::size_t m = 1 + rng.index(4);
+    const std::vector<double> vals = tie_heavy_rows(rng, n, m);
+    detail::crowding_distances_flat(vals.data(), n, m, keys, got);
+    const std::vector<double> want = reference_crowding(vals, n, m);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "trial " << trial << " row " << i;
+    }
+  }
+}
+
+/// A population member as the environmental selection sorted it before
+/// the key sort: the whole individual, compared field by field.
+struct ReferenceIndividual {
+  std::vector<std::uint16_t> genome;
+  bool feasible = true;
+  std::size_t front = 0;
+  double crowding = 0.0;
+  std::size_t id = 0;
+};
+
+bool reference_better(const ReferenceIndividual& a,
+                      const ReferenceIndividual& b) {
+  if (a.feasible != b.feasible) return a.feasible;
+  if (!a.feasible) return false;
+  if (a.front != b.front) return a.front < b.front;
+  return a.crowding > b.crowding;
+}
+
+TEST(RankKeys, PopulationSortMatchesWholeIndividualSortPermutation) {
+  util::Rng rng(77);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 4 + rng.index(200);
+    std::vector<ReferenceIndividual> pop(n);
+    std::vector<detail::RankKey> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ReferenceIndividual& ind = pop[i];
+      ind.id = i;
+      ind.genome.assign(15, static_cast<std::uint16_t>(i));
+      if (i > 0 && rng.bernoulli(0.2)) {
+        // A duplicate of an earlier individual: same rank, same crowding.
+        const ReferenceIndividual& src = pop[rng.index(i)];
+        ind.feasible = src.feasible;
+        ind.front = src.front;
+        ind.crowding = src.crowding;
+      } else {
+        ind.feasible = !rng.bernoulli(0.15);
+        // Infeasible members carry the ranker's sentinel values.
+        ind.front = ind.feasible ? rng.index(4)
+                                 : std::numeric_limits<std::size_t>::max();
+        const double levels[] = {0.0, 0.5, 1.0, inf, inf};
+        ind.crowding = ind.feasible ? levels[rng.index(5)] : 0.0;
+      }
+      keys[i] = {ind.feasible ? static_cast<std::uint32_t>(ind.front)
+                              : detail::RankKey::kInfeasibleFront,
+                 static_cast<std::uint32_t>(i), ind.crowding};
+    }
+    std::sort(pop.begin(), pop.end(), reference_better);
+    std::sort(keys.begin(), keys.end(),
+              [](const detail::RankKey& a, const detail::RankKey& b) {
+                return detail::ranks_before(a, b);
+              });
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(keys[k].index, pop[k].id) << "trial " << trial << " rank " << k;
+    }
+  }
+}
+
+// --- Reference equivalence for the two-pass archive insert -------------
+
+/// The single-pass archive insert the two-pass scan replaced: members
+/// newest first, rejection or swap-erase eviction decided per member.
+class ReferenceArchive {
+ public:
+  bool insert(const Objectives& c) {
+    const std::size_t m = c.size();
+    if (last_rejector_ < rows_.size() && !worse(rows_[last_rejector_], c)) {
+      return false;
+    }
+    std::size_t i = rows_.size();
+    while (i-- > 0) {
+      if (!worse(rows_[i], c)) {
+        last_rejector_ = i;
+        return false;
+      }
+      bool c_worse = false;
+      for (std::size_t k = 0; k < m; ++k) c_worse |= c[k] > rows_[i][k];
+      if (!c_worse) {
+        rows_[i] = rows_.back();
+        rows_.pop_back();
+      }
+    }
+    rows_.push_back(c);
+    return true;
+  }
+  const std::vector<Objectives>& rows() const { return rows_; }
+
+ private:
+  static bool worse(const Objectives& e, const Objectives& c) {
+    for (std::size_t k = 0; k < c.size(); ++k) {
+      if (e[k] > c[k]) return true;
+    }
+    return false;
+  }
+  std::vector<Objectives> rows_;
+  std::size_t last_rejector_ = static_cast<std::size_t>(-1);
+};
+
+TEST(Archive, TwoPassInsertMatchesSinglePassReference) {
+  util::Rng rng(9);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t m = 2 + rng.index(3);  // arity 2, 3 and 4
+    ParetoArchive archive;
+    ReferenceArchive reference;
+    const Genome genome(15, 0);
+    for (int step = 0; step < 400; ++step) {
+      Objectives c(m);
+      for (double& v : c) v = 0.125 * static_cast<double>(rng.index(9));
+      ASSERT_EQ(archive.insert(genome, std::span<const double>(c)),
+                reference.insert(c))
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(archive.size() * m, archive.objectives_flat().size());
+    }
+    // Same members; entry order is outside the contract.
+    std::vector<Objectives> got, want = reference.rows();
+    for (std::size_t i = 0; i < archive.size(); ++i) {
+      got.push_back(archive.entries()[i].objectives);
+      ASSERT_TRUE(std::equal(got.back().begin(), got.back().end(),
+                             archive.objectives_flat().begin() +
+                                 static_cast<std::ptrdiff_t>(i * m)))
+          << "flat mirror out of step at entry " << i;
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want) << "trial " << trial;
+  }
 }
 
 TEST(Coverage, FullAndEmpty) {

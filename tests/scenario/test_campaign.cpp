@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "event_json_reference.hpp"
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/json.hpp"
@@ -542,7 +543,9 @@ TEST_F(CampaignTest, ProgressJsonlSchemaAndMonotoneHypervolume) {
 
 // progress.jsonl is the event stream's own serialization: with both
 // outputs on, each file record equals the ring's generation event of the
-// same snapshot on every key but the per-stream `seq` and `t`.
+// same snapshot on every key but the per-stream `seq` and `t`. The ring's
+// events go through the former DOM builder, so this also checks the
+// serializer against it on a real run.
 TEST_F(CampaignTest, ProgressJsonlRecordsAreTheRingsGenerationEvents) {
   util::events::EventRing ring(1024);
   CampaignOptions o = options(dir("a"));
@@ -556,7 +559,7 @@ TEST_F(CampaignTest, ProgressJsonlRecordsAreTheRingsGenerationEvents) {
   for (const util::events::Event& event : events) {
     if (event.kind == util::events::Kind::kGeneration) {
       published.push_back(
-          without_seq_and_t(util::events::event_to_json(event)));
+          without_seq_and_t(test::reference_event_to_json(event)));
     }
   }
   const std::vector<util::Json> records =

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/fsio.hpp"
@@ -98,7 +99,8 @@ TEST_F(CsvWriterTest, EscapedFieldsParseBackExactly) {
       "mix,\"of\nall\""};
   {
     CsvWriter csv(path_);
-    csv.write_row(original);
+    csv.write_row(std::vector<std::string_view>(original.begin(),
+                                                original.end()));
   }
   const std::string contents = read_back();
   std::size_t pos = 0;
@@ -149,7 +151,7 @@ TEST_F(CsvWriterTest, CountsHeaderAndDataRows) {
 TEST_F(CsvWriterTest, EmptyRowWritesBlankLine) {
   {
     CsvWriter csv(path_);
-    csv.write_row(std::vector<std::string>{});
+    csv.write_row(std::vector<std::string_view>{});
     csv.write_row({""});
   }
   EXPECT_EQ(read_back(), "\n\n");
@@ -160,6 +162,81 @@ TEST_F(CsvWriterTest, CloseFlushesEveryRow) {
   csv.write_row({"a", "b"});
   csv.close();
   EXPECT_EQ(read_back(), "a,b\n");
+}
+
+/// The row writer CsvWriter had before it took string views: one
+/// std::string per escaped field, streamed field by field.
+std::string reference_row(const std::vector<std::string>& fields) {
+  const auto escape = [](const std::string& field) {
+    if (field.find_first_of(",\"\n") == std::string::npos) return field;
+    std::string quoted = "\"";
+    for (char c : field) {
+      if (c == '"') quoted += '"';
+      quoted += c;
+    }
+    quoted += '"';
+    return quoted;
+  };
+  std::ostringstream out;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out << ',';
+    out << escape(fields[i]);
+  }
+  out << '\n';
+  return out.str();
+}
+
+TEST_F(CsvWriterTest, ViewRowsMatchTheStringRowReference) {
+  const std::vector<std::vector<std::string>> rows = {
+      {"E_net_mJ_per_s", "genome", "config"},
+      {"0.5", "1 2 3", "L=32 BCO=4 SFO=4 | DWT(CR=0.17,f=8MHz)"},
+      {"a,b", "say \"hi\"", "line1\nline2", "", "\"", ","},
+      {"\"\"", "trailing,", "\n", "mix,\"of\nall\"", "plain"},
+      {},
+      {""},
+  };
+  std::string expected;
+  {
+    CsvWriter csv(path_);
+    // All fields of a row live in one reused buffer, as the archive
+    // writer lays them out.
+    std::string buffer;
+    for (const auto& row : rows) {
+      buffer.clear();
+      std::vector<std::size_t> ends;
+      for (const std::string& field : row) {
+        buffer += field;
+        ends.push_back(buffer.size());
+      }
+      std::vector<std::string_view> views;
+      std::size_t begin = 0;
+      for (const std::size_t end : ends) {
+        views.push_back(std::string_view(buffer).substr(begin, end - begin));
+        begin = end;
+      }
+      csv.write_row(views);
+      expected += reference_row(row);
+    }
+    csv.close();
+  }
+  EXPECT_EQ(read_back(), expected);
+}
+
+TEST_F(CsvWriterTest, NumericRowMatchesStreamPrecision17) {
+  const std::vector<double> values = {1.0 / 3.0, -0.0, 5e-324, 1e21, 0.1,
+                                      123456789.123456789, -2.5e-8};
+  {
+    CsvWriter csv(path_);
+    csv.write_numeric_row(values);
+  }
+  std::vector<std::string> text;
+  for (const double v : values) {
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    text.push_back(os.str());
+  }
+  EXPECT_EQ(read_back(), reference_row(text));
 }
 
 TEST_F(CsvWriterTest, CloseReportsALostWriteNamingThePath) {

@@ -10,10 +10,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "event_json_reference.hpp"
+#include "util/json.hpp"
 
 namespace events = wsnex::util::events;
 using events::Event;
@@ -240,13 +245,20 @@ TEST(EventRingTest, WaitForReturnsOnPublishAndOnTimeout) {
   publisher.join();
 }
 
+/// append_event_json's output for one event, parsed back.
+wsnex::util::Json serialized(const Event& event) {
+  std::string line;
+  events::append_event_json(line, event);
+  return wsnex::util::Json::parse(line);
+}
+
 TEST(EventJsonTest, LifecycleEventSchema) {
   EventRing ring(4);
   ring.publish(make_event(Kind::kUnitRetried, "job-1", "ward", "timeout"));
   std::vector<Event> out;
   ring.read_since(0, out);
   ASSERT_EQ(out.size(), 1u);
-  const wsnex::util::Json json = events::event_to_json(out[0]);
+  const wsnex::util::Json json = serialized(out[0]);
   EXPECT_EQ(json.at("seq").as_int64(), 1);
   EXPECT_GE(json.at("t").as_double(), 0.0);
   EXPECT_EQ(json.at("kind").as_string(), "unit_retried");
@@ -267,7 +279,7 @@ TEST(EventJsonTest, GenerationEventCarriesProgressFields) {
   event.feasible = 5;
   event.hypervolume = 123.5;
   event.evals_per_s = 1000.0;
-  const wsnex::util::Json json = events::event_to_json(event);
+  const wsnex::util::Json json = serialized(event);
   EXPECT_EQ(json.at("kind").as_string(), "generation");
   EXPECT_EQ(json.at("generation").as_int64(), 3);
   EXPECT_EQ(json.at("evaluations").as_int64(), 64);
@@ -298,6 +310,67 @@ TEST(EventJsonTest, JsonlIsOneParseableObjectPerLine) {
     begin = end + 1;
   }
   EXPECT_EQ(seqs, (std::set<std::int64_t>{1, 2, 3}));
+}
+
+// append_event_json against the former DOM builder, for every kind, with
+// string fields that need escaping and numbers that exercise the shortest
+// round-trip formatter and the int64 view of large counters.
+TEST(EventJsonTest, SerializerMatchesDomReferenceForEveryKind) {
+  const std::string nasty = std::string("q\"b\\s/\x01\x1f\b\f\n\r\t") +
+                            "\xc3\xa9nd\x7f";
+  const double values[] = {0.0, -0.0, 1.0 / 3.0, 1e-300, 6.02214076e23,
+                           123456789.125, 5e-324};
+  for (int k = 0; k <= static_cast<int>(Kind::kCacheDegraded); ++k) {
+    for (std::size_t v = 0; v < std::size(values); ++v) {
+      Event event = make_event(static_cast<Kind>(k), "job-\"1\"", nasty,
+                               nasty + nasty);
+      event.seq = v == 3 ? std::numeric_limits<std::uint64_t>::max() : 40 + v;
+      event.time_s = values[v];
+      event.generation = v;
+      event.evaluations = 64 * v + 1;
+      event.archive_size = v == 4 ? (1ULL << 62) : 3;
+      event.feasible = v;
+      event.hypervolume = values[(v + 2) % std::size(values)];
+      event.evals_per_s = values[(v + 5) % std::size(values)];
+      std::string line = "prefix:";
+      events::append_event_json(line, event);
+      EXPECT_EQ(line,
+                "prefix:" + wsnex::test::reference_event_to_json(event).dump())
+          << "kind " << k << " value " << v;
+    }
+  }
+}
+
+TEST(EventJsonTest, NonFiniteNumberThrowsAndLeavesTheBufferAlone) {
+  const double bad[] = {std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double x : bad) {
+    Event generation = make_event(Kind::kGeneration, "j", "s", "");
+    generation.hypervolume = x;
+    std::string line = "kept";
+    EXPECT_THROW(events::append_event_json(line, generation),
+                 std::invalid_argument);
+    EXPECT_EQ(line, "kept");
+    EXPECT_THROW(wsnex::test::reference_event_to_json(generation).dump(),
+                 std::invalid_argument);
+
+    Event rate = make_event(Kind::kGeneration, "j", "s", "");
+    rate.evals_per_s = x;
+    EXPECT_THROW(events::append_event_json(line, rate), std::invalid_argument);
+
+    Event lifecycle = make_event(Kind::kJobQueued, "j", "", "");
+    lifecycle.time_s = x;
+    EXPECT_THROW(events::append_event_json(line, lifecycle),
+                 std::invalid_argument);
+    // Progress fields are not serialized for lifecycle kinds, so their
+    // values are never checked there — as with the DOM builder.
+    Event quiet = make_event(Kind::kJobQueued, "j", "", "");
+    quiet.hypervolume = x;
+    std::string out;
+    EXPECT_NO_THROW(events::append_event_json(out, quiet));
+    EXPECT_EQ(out, wsnex::test::reference_event_to_json(quiet).dump());
+  }
 }
 
 TEST(EventKindTest, WireNamesAreStable) {

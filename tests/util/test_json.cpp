@@ -210,6 +210,15 @@ TEST(FormatDoubleShortest, MatchesPrintfReferenceOnAMillionDoubles) {
   for (std::uint64_t k = 1000000000000000; k < 1000000000000000 + 2000; ++k) {
     values.push_back(static_cast<double>(k) + 0.5);
   }
+  // Powers of two and their neighbours: a power of two's round-trip
+  // interval is narrower below than above, the one place where a
+  // shorter round-tripping decimal need not make %.15g round-trip.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, 2.0 * p));
+  }
   ASSERT_GE(values.size(), 1000000u);
 
   std::size_t mismatches = 0;
