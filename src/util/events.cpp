@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "util/json.hpp"
@@ -109,9 +110,45 @@ std::string events_to_jsonl(const std::vector<Event>& batch) {
 }
 
 EventRing::EventRing(std::size_t capacity)
-    : slots_(round_up_pow2(std::max<std::size_t>(capacity, 2))),
-      mask_(slots_.size() - 1),
-      epoch_(std::chrono::steady_clock::now()) {}
+    : mask_(round_up_pow2(std::max<std::size_t>(capacity, 2)) - 1),
+      segment_slots_(std::min(mask_ + 1, kSegmentSlots)),
+      segments_((mask_ + 1) / segment_slots_),
+      epoch_(std::chrono::steady_clock::now()) {
+  for (std::atomic<Slot*>& segment : segments_) {
+    segment.store(nullptr, std::memory_order_relaxed);
+  }
+}
+
+EventRing::~EventRing() {
+  for (std::atomic<Slot*>& segment : segments_) {
+    delete[] segment.load(std::memory_order_relaxed);
+  }
+}
+
+EventRing::Slot& EventRing::slot_for_write(std::uint64_t seq) {
+  const std::size_t index = (seq - 1) & mask_;
+  std::atomic<Slot*>& segment = segments_[index / segment_slots_];
+  Slot* slots = segment.load(std::memory_order_acquire);
+  if (slots == nullptr) {
+    // First publish into this segment. Writers that race here each build
+    // a zeroed segment; one installs it, the others free theirs and use
+    // the installed one (the failed exchange loads it into `slots`).
+    auto fresh = std::make_unique<Slot[]>(segment_slots_);
+    if (segment.compare_exchange_strong(slots, fresh.get(),
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+      slots = fresh.release();
+    }
+  }
+  return slots[index % segment_slots_];
+}
+
+const EventRing::Slot* EventRing::slot_for_read(std::uint64_t seq) const {
+  const std::size_t index = (seq - 1) & mask_;
+  const Slot* slots =
+      segments_[index / segment_slots_].load(std::memory_order_acquire);
+  return slots == nullptr ? nullptr : slots + index % segment_slots_;
+}
 
 std::uint64_t EventRing::publish(Event event) {
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -123,7 +160,7 @@ std::uint64_t EventRing::publish(Event event) {
   std::uint64_t raw[kWords] = {};
   std::memcpy(raw, &event, sizeof(Event));
 
-  Slot& slot = slots_[(seq - 1) & mask_];
+  Slot& slot = slot_for_write(seq);
   // Seqlock write: odd stamp, release fence, payload words, even stamp.
   // The release fence guarantees that a reader who observes any payload word
   // from this publish also observes the odd stamp on its recheck.
@@ -149,8 +186,7 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
 
   // Oldest sequence that can still be resident. Anything older was
   // overwritten by ring wrap and counts as dropped for this reader.
-  const std::uint64_t oldest =
-      last > slots_.size() ? last - slots_.size() + 1 : 1;
+  const std::uint64_t oldest = last > capacity() ? last - capacity() + 1 : 1;
   std::uint64_t first = since + 1;
   if (first < oldest) {
     if (dropped != nullptr) *dropped += oldest - first;
@@ -158,11 +194,13 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
   }
 
   for (std::uint64_t seq = first; seq <= last; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & mask_];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
+    const Slot* slot = slot_for_read(seq);
+    const std::uint64_t s1 =
+        slot == nullptr ? 0 : slot->stamp.load(std::memory_order_acquire);
     if (s1 < 2 * seq) {
-      // Claimed by publish() but not written yet: stop before it, so the
-      // next read resumes at this sequence instead of skipping it.
+      // Claimed by publish() but not written yet (its segment may not
+      // even exist): stop before it, so the next read resumes at this
+      // sequence instead of skipping it.
       return seq - 1;
     }
     if (s1 > 2 * seq) {
@@ -172,10 +210,10 @@ std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out
     }
     std::uint64_t raw[kWords];
     for (std::size_t i = 0; i < kWords; ++i) {
-      raw[i] = slot.words[i].load(std::memory_order_relaxed);
+      raw[i] = slot->words[i].load(std::memory_order_relaxed);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t s2 = slot.stamp.load(std::memory_order_relaxed);
+    const std::uint64_t s2 = slot->stamp.load(std::memory_order_relaxed);
     if (s2 != 2 * seq) {
       if (dropped != nullptr) ++*dropped;
       continue;
@@ -193,15 +231,16 @@ std::uint64_t EventRing::last_seq() const {
 
 std::uint64_t EventRing::overwritten() const {
   const std::uint64_t last = next_.load(std::memory_order_acquire);
-  return last > slots_.size() ? last - slots_.size() : 0;
+  return last > capacity() ? last - capacity() : 0;
 }
 
 bool EventRing::published_after(std::uint64_t since) const {
   if (next_.load(std::memory_order_acquire) <= since) return false;
   // The slot of sequence since + 1 carries a stamp of at least 2*(since+1)
   // once that event is written (or a later one has lapped it).
-  const Slot& slot = slots_[since & mask_];
-  return slot.stamp.load(std::memory_order_acquire) >= 2 * (since + 1);
+  const Slot* slot = slot_for_read(since + 1);
+  return slot != nullptr &&
+         slot->stamp.load(std::memory_order_acquire) >= 2 * (since + 1);
 }
 
 bool EventRing::wait_for(std::uint64_t since, double timeout_s) const {

@@ -14,7 +14,8 @@
 /// Concurrency: each slot is guarded by a seqlock-style version stamp and the
 /// payload is stored as relaxed atomic words, so concurrent publish/read is
 /// free of data races (sanitizer-clean) without any mutex on the publish path.
-/// Publishing is wait-free apart from a best-effort waiter notification.
+/// Publishing is wait-free apart from a best-effort waiter notification and,
+/// once per segment of slots, the allocation of that segment.
 
 #include <atomic>
 #include <chrono>
@@ -89,9 +90,21 @@ std::string events_to_jsonl(const std::vector<Event>& batch);
 
 /// Bounded multi-writer / multi-reader broadcast ring. Capacity is rounded up
 /// to a power of two. Thread-safe; publish never blocks on readers.
+///
+/// Slots are allocated in segments of kSegmentSlots, each on the first
+/// publish that lands in it, so a ring holds memory for the events it has
+/// carried rather than for its capacity: the 1024-slot ring of a serve
+/// campaign job (68-73 events) holds three segments (~29 KiB), not ~304 KiB.
+/// Once the ring has wrapped, every segment exists and publish allocates no
+/// more.
 class EventRing {
  public:
+  static constexpr std::size_t kSegmentSlots = 32;
+
   explicit EventRing(std::size_t capacity = 1024);
+  ~EventRing();
+  EventRing(const EventRing&) = delete;
+  EventRing& operator=(const EventRing&) = delete;
 
   /// Publishes a copy of `event` (its `seq` and `time_s` are assigned here).
   /// Returns the assigned sequence number.
@@ -119,7 +132,7 @@ class EventRing {
   /// true if new events are available.
   bool wait_for(std::uint64_t since, double timeout_s) const;
 
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
 
  private:
   /// True once the slot after `since` holds a written event.
@@ -130,8 +143,18 @@ class EventRing {
     std::atomic<std::uint64_t> words[(sizeof(Event) + 7) / 8];
   };
 
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
+  /// The slot of sequence `seq`; allocates its segment if no publish has
+  /// reached it yet.
+  Slot& slot_for_write(std::uint64_t seq);
+  /// The slot of sequence `seq`, or nullptr while its segment does not
+  /// exist — no event there has been written yet.
+  const Slot* slot_for_read(std::uint64_t seq) const;
+
+  std::size_t mask_ = 0;           ///< capacity - 1
+  std::size_t segment_slots_ = 0;  ///< kSegmentSlots, or a smaller capacity
+  /// One pointer per segment, null until its first publish; a segment is
+  /// zero-initialized (every stamp 0) before it is installed.
+  std::vector<std::atomic<Slot*>> segments_;
   std::atomic<std::uint64_t> next_{0};
   std::chrono::steady_clock::time_point epoch_;
 

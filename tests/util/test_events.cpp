@@ -95,6 +95,36 @@ TEST(EventRingTest, OverflowDropsOldestAndAccountsForThem) {
   EXPECT_EQ(out.size(), 2u);
 }
 
+// A ring of several segments wraps like a single-segment one: the reader
+// sees the newest `capacity` events in order and counts the rest dropped.
+TEST(EventRingTest, WrapAcrossSegmentsKeepsTheNewestInOrder) {
+  EventRing ring(2 * EventRing::kSegmentSlots);
+  const std::uint64_t capacity = ring.capacity();
+  const std::uint64_t total = 2 * capacity + 7;
+  for (std::uint64_t i = 1; i <= total; ++i) {
+    ring.publish(make_event(Kind::kGeneration, "j", "", std::to_string(i)));
+  }
+  EXPECT_EQ(ring.overwritten(), total - capacity);
+  std::vector<Event> out;
+  std::uint64_t dropped = 0;
+  EXPECT_EQ(ring.read_since(0, out, &dropped), total);
+  EXPECT_EQ(dropped, total - capacity);
+  ASSERT_EQ(out.size(), capacity);
+  for (std::uint64_t k = 0; k < capacity; ++k) {
+    const std::uint64_t seq = total - capacity + 1 + k;
+    EXPECT_EQ(out[k].seq, seq);
+    EXPECT_EQ(std::string(out[k].detail), std::to_string(seq));
+  }
+  // A fresh ring reads its first segment without touching the others.
+  EventRing fresh(1024);
+  fresh.publish(make_event(Kind::kJobQueued, "j", "", ""));
+  out.clear();
+  EXPECT_EQ(fresh.read_since(0, out, &dropped), 1u);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_FALSE(fresh.wait_for(1, 0.0));
+}
+
 TEST(EventRingTest, StringFieldsTruncateNotOverflow) {
   EventRing ring(4);
   const std::string long_name(500, 'x');
