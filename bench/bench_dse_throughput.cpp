@@ -10,10 +10,10 @@
 //
 // Machine-readable mode: `bench_dse_throughput --json[=PATH] [--quick]`
 // skips google-benchmark and instead sweeps
-//   objective in {scalar-uncached, memoized-batch} x threads {1,2,4,8}
-//   x population {64,128,256}
+//   objective in {scalar-uncached, memoized-batch} x population {64,128,256}
 // over case-study-sized NSGA-II runs (plus a MOSA row per objective),
-// writing evaluations/s per configuration as JSON. The committed
+// writing evaluations/s per configuration as JSON. The optimizers run on
+// the calling thread, so there is no threads axis. The committed
 // BENCH_dse_throughput.json at the repo root embeds this mode's
 // `configs` array inside hand-recorded context blocks (`machine`, and
 // `baseline` = the pre-batching engine measured from the pre-PR tree on
@@ -23,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -129,17 +130,15 @@ void BM_PacketSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketSimulation)->Arg(60)->Arg(600)->Unit(benchmark::kMillisecond);
 
-/// End-to-end NSGA-II throughput: threads x population sweep over the
-/// memoized batch objective. Items processed = objective evaluations.
+/// End-to-end NSGA-II throughput: population sweep over the memoized
+/// batch objective. Items processed = objective evaluations.
 void BM_Nsga2Throughput(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto population = static_cast<std::size_t>(state.range(1));
-  const auto memo = dse::make_memoized_full_model_objective(
-      evaluator(), case_space(), threads);
+  const auto population = static_cast<std::size_t>(state.range(0));
+  const auto memo =
+      dse::make_memoized_full_model_objective(evaluator(), case_space(), 1);
   dse::Nsga2Options opt;
   opt.population = population;
   opt.generations = 4000 / population;  // ~case-study evaluation budget
-  opt.threads = threads;
   std::size_t evaluations = 0;
   for (auto _ : state) {
     const dse::DseResult r = dse::run_nsga2(case_space(), *memo, opt);
@@ -149,12 +148,10 @@ void BM_Nsga2Throughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
 }
 BENCHMARK(BM_Nsga2Throughput)
-    ->ArgNames({"threads", "pop"})
-    ->Args({1, 64})
-    ->Args({1, 128})
-    ->Args({1, 256})
-    ->Args({8, 64})
-    ->Args({8, 256})
+    ->ArgName("pop")
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 /// "Measured" evaluation via the hardware simulator (used only for the
@@ -175,26 +172,27 @@ BENCHMARK(BM_HardwareSimulatorMeasurement)->Unit(benchmark::kMicrosecond);
 struct SweepRow {
   std::string optimizer;   // "nsga2" | "mosa"
   std::string objective;   // "scalar-uncached" | "memoized-batch"
-  std::size_t threads = 1;
   std::size_t population = 0;  // 0 for mosa
   std::size_t evaluations = 0;
   double best_evals_per_s = 0.0;
 };
 
-SweepRow run_nsga2_config(const std::string& objective, std::size_t threads,
+std::unique_ptr<dse::BatchObjectiveFunction> make_objective(
+    const std::string& objective) {
+  return objective == "memoized-batch"
+             ? dse::make_memoized_full_model_objective(evaluator(),
+                                                       case_space(), 1)
+             : dse::make_batch_adapter(
+                   case_space(), dse::make_full_model_objective(evaluator()));
+}
+
+SweepRow run_nsga2_config(const std::string& objective,
                           std::size_t population, int reps) {
-  SweepRow row{"nsga2", objective, threads, population, 0, 0.0};
-  const auto fn = objective == "memoized-batch"
-                      ? dse::make_memoized_full_model_objective(
-                            evaluator(), case_space(), threads)
-                      : dse::make_batch_adapter(
-                            case_space(),
-                            dse::make_full_model_objective(evaluator()),
-                            threads);
+  SweepRow row{"nsga2", objective, population, 0, 0.0};
+  const auto fn = make_objective(objective);
   dse::Nsga2Options opt;
   opt.population = population;
   opt.generations = 4000 / population;
-  opt.threads = threads;
   for (int r = 0; r < reps; ++r) {
     const dse::DseResult res = dse::run_nsga2(case_space(), *fn, opt);
     row.evaluations = res.evaluations;
@@ -205,19 +203,11 @@ SweepRow run_nsga2_config(const std::string& objective, std::size_t threads,
   return row;
 }
 
-SweepRow run_mosa_config(const std::string& objective, std::size_t threads,
-                         int reps) {
-  SweepRow row{"mosa", objective, threads, 0, 0, 0.0};
-  const auto fn = objective == "memoized-batch"
-                      ? dse::make_memoized_full_model_objective(
-                            evaluator(), case_space(), threads)
-                      : dse::make_batch_adapter(
-                            case_space(),
-                            dse::make_full_model_objective(evaluator()),
-                            threads);
+SweepRow run_mosa_config(const std::string& objective, int reps) {
+  SweepRow row{"mosa", objective, 0, 0, 0.0};
+  const auto fn = make_objective(objective);
   dse::MosaOptions opt;
   opt.iterations = 4000;
-  opt.threads = threads;
   for (int r = 0; r < reps; ++r) {
     const dse::DseResult res = dse::run_mosa(case_space(), *fn, opt);
     row.evaluations = res.evaluations;
@@ -234,25 +224,18 @@ int run_json_sweep(const std::string& path, bool quick) {
   if (out == nullptr) return 1;
   const int reps = quick ? 1 : 5;
   std::vector<SweepRow> rows;
-  const std::vector<std::size_t> thread_counts =
-      quick ? std::vector<std::size_t>{1} : std::vector<std::size_t>{1, 2, 4,
-                                                                     8};
   const std::vector<std::size_t> populations =
       quick ? std::vector<std::size_t>{64}
             : std::vector<std::size_t>{64, 128, 256};
   for (const char* objective : {"scalar-uncached", "memoized-batch"}) {
-    for (const std::size_t threads : thread_counts) {
-      for (const std::size_t population : populations) {
-        rows.push_back(
-            run_nsga2_config(objective, threads, population, reps));
-        std::fprintf(stderr, "%s %s threads=%zu pop=%zu: %.0f evals/s\n",
-                     rows.back().optimizer.c_str(), objective, threads,
-                     population, rows.back().best_evals_per_s);
-      }
-      rows.push_back(run_mosa_config(objective, threads, reps));
-      std::fprintf(stderr, "mosa %s threads=%zu: %.0f evals/s\n", objective,
-                   threads, rows.back().best_evals_per_s);
+    for (const std::size_t population : populations) {
+      rows.push_back(run_nsga2_config(objective, population, reps));
+      std::fprintf(stderr, "nsga2 %s pop=%zu: %.0f evals/s\n", objective,
+                   population, rows.back().best_evals_per_s);
     }
+    rows.push_back(run_mosa_config(objective, reps));
+    std::fprintf(stderr, "mosa %s: %.0f evals/s\n", objective,
+                 rows.back().best_evals_per_s);
   }
 
   std::fprintf(out, "{\n  \"bench\": \"dse_throughput\",\n");
@@ -267,10 +250,10 @@ int run_json_sweep(const std::string& path, bool quick) {
     const SweepRow& r = rows[i];
     std::fprintf(out,
                  "    {\"optimizer\": \"%s\", \"objective\": \"%s\", "
-                 "\"threads\": %zu, \"population\": %zu, "
+                 "\"population\": %zu, "
                  "\"evaluations\": %zu, \"evals_per_s\": %.0f}%s\n",
-                 r.optimizer.c_str(), r.objective.c_str(), r.threads,
-                 r.population, r.evaluations, r.best_evals_per_s,
+                 r.optimizer.c_str(), r.objective.c_str(), r.population,
+                 r.evaluations, r.best_evals_per_s,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

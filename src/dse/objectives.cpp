@@ -4,7 +4,6 @@
 #include <string>
 
 #include "dse/eval_cache.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wsnex::dse {
 
@@ -176,32 +175,6 @@ std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
     const DesignSpace& space, const ObjectiveFunction& fn,
     std::size_t worker_slots) {
   return std::make_unique<ScalarBatchAdapter>(space, fn, worker_slots);
-}
-
-void evaluate_genome_batch(const BatchObjectiveFunction& fn,
-                           util::ThreadPool* pool,
-                           std::span<const Genome> genomes,
-                           std::span<double> values,
-                           std::span<std::uint8_t> counts) {
-  const std::size_t stride = fn.arity();
-  if (values.size() < genomes.size() * stride ||
-      counts.size() < genomes.size()) {
-    throw std::invalid_argument("evaluate_genome_batch: buffer too small");
-  }
-  if (pool != nullptr && pool->size() > fn.worker_slots()) {
-    throw std::invalid_argument(
-        "evaluate_genome_batch: pool wider than the objective's worker "
-        "slots");
-  }
-  const auto eval_one = [&](std::size_t i, std::size_t worker) {
-    counts[i] = static_cast<std::uint8_t>(
-        fn.evaluate(genomes[i], values.subspan(i * stride, stride), worker));
-  };
-  if (pool == nullptr || pool->size() == 1) {
-    for (std::size_t i = 0; i < genomes.size(); ++i) eval_one(i, 0);
-    return;
-  }
-  pool->parallel_for(0, genomes.size(), eval_one);
 }
 
 }  // namespace wsnex::dse

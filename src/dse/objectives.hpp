@@ -1,17 +1,14 @@
 // Objective adapters: design -> objective vector.
 //
 // The optimizers evaluate through one surface, BatchObjectiveFunction:
-// genome-indexed, allocation-free after warm-up, and evaluable from
-// multiple worker threads at once (one scratch slot per worker). The
-// scalar ObjectiveFunction (design -> optional objective vector) remains
-// the reference form: make_full_model_objective is the oracle the
-// memoized objective is tested against and the input of run_exhaustive,
-// and make_batch_adapter lifts any ObjectiveFunction onto the batch
-// surface.
-// evaluate_genome_batch() fans a genome batch across a util::ThreadPool
-// with index-ordered result placement, so the outcome of a batch is
-// independent of the worker count — the foundation of the optimizers'
-// threads=1 vs threads=N determinism guarantee.
+// genome-indexed and allocation-free after warm-up. The optimizers call
+// it on their own thread with worker slot 0; the slots let other callers
+// evaluate one objective from several threads at once (one scratch slot
+// per worker). The scalar ObjectiveFunction (design -> optional objective
+// vector) remains the reference form: make_full_model_objective is the
+// oracle the memoized objective is tested against and the input of
+// run_exhaustive, and make_batch_adapter lifts any ObjectiveFunction onto
+// the batch surface.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +19,6 @@
 
 #include "dse/design_space.hpp"
 #include "model/baseline.hpp"
-
-namespace wsnex::util {
-class ThreadPool;  // util/thread_pool.hpp — only referenced by pointer here
-}
 
 namespace wsnex::dse {
 
@@ -58,6 +51,7 @@ inline constexpr std::size_t kMaxObjectives = 4;
 /// Batched, genome-indexed objective. Implementations own one scratch
 /// slot per worker; calls with distinct `worker` values (each below
 /// worker_slots()) may run concurrently, calls sharing a slot must not.
+/// The optimizers evaluate on slot 0 only.
 class BatchObjectiveFunction {
  public:
   virtual ~BatchObjectiveFunction() = default;
@@ -111,17 +105,5 @@ std::unique_ptr<BatchObjectiveFunction> make_memoized_full_model_objective(
 std::unique_ptr<BatchObjectiveFunction> make_batch_adapter(
     const DesignSpace& space, const ObjectiveFunction& fn,
     std::size_t worker_slots = 1);
-
-/// Evaluates genomes[i] into counts[i] / values[i * fn.arity() ...) across
-/// the pool's workers (pool == nullptr runs inline on worker slot 0).
-/// Result placement is by index, so the output is independent of the
-/// worker count. `values` must hold genomes.size() * fn.arity() doubles
-/// and `counts` genomes.size() entries (0 == infeasible). Throws
-/// std::invalid_argument when the pool is wider than fn.worker_slots().
-void evaluate_genome_batch(const BatchObjectiveFunction& fn,
-                           util::ThreadPool* pool,
-                           std::span<const Genome> genomes,
-                           std::span<double> values,
-                           std::span<std::uint8_t> counts);
 
 }  // namespace wsnex::dse

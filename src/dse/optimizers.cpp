@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
-#include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "util/clock.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wsnex::dse {
 namespace {
@@ -135,14 +131,13 @@ class PopulationRanker {
   std::vector<std::uint32_t> prefix_rows_;
 };
 
-/// Shared batch-evaluation state: the pool (absent when one worker
-/// suffices), the flat value/count buffers and the bookkeeping that turns
-/// raw rows into archive entries and counters in index order.
+/// Evaluation state shared by the optimizers: the flat value/count
+/// buffers (on the calling thread, worker slot 0) and the bookkeeping
+/// that turns raw rows into archive entries and counters in index order.
 class BatchRunner {
  public:
-  BatchRunner(const BatchObjectiveFunction& fn, std::size_t threads,
-              util::ThreadPool* external_pool)
-      : fn_(&fn), stride_(fn.arity()), external_pool_(external_pool) {
+  explicit BatchRunner(const BatchObjectiveFunction& fn)
+      : fn_(&fn), stride_(fn.arity()) {
     if (stride_ == 0 || stride_ > kMaxObjectives) {
       // Individuals hold objectives inline; an out-of-contract arity
       // must fail loudly, not overrun those arrays.
@@ -150,33 +145,17 @@ class BatchRunner {
           "BatchObjectiveFunction::arity() must be in 1.." +
           std::to_string(kMaxObjectives));
     }
-    if (external_pool_ == nullptr) {
-      const std::size_t resolved = std::min(
-          util::ThreadPool::resolve_threads(threads), fn.worker_slots());
-      if (resolved > 1) pool_ = std::make_unique<util::ThreadPool>(resolved);
-    }
   }
 
-  std::size_t width() const {
-    const util::ThreadPool* pool =
-        external_pool_ != nullptr ? external_pool_ : pool_.get();
-    return pool != nullptr ? pool->size() : 1;
-  }
-  std::size_t stride() const { return stride_; }
-
-  /// Evaluates all genomes; results land in row order in values()/counts().
+  /// Evaluates all genomes; results land in row order in row()/count().
   void evaluate(std::span<const Genome> genomes) {
     values_.resize(genomes.size() * stride_);
     counts_.resize(genomes.size());
-    // Waking the pool for a single genome is pure synchronization
-    // overhead (e.g. MOSA's feasible-start retries); results are
-    // index-ordered either way, so running inline changes nothing.
-    util::ThreadPool* pool =
-        external_pool_ != nullptr ? external_pool_ : pool_.get();
-    if (genomes.size() <= 1 || (pool != nullptr && pool->size() == 1)) {
-      pool = nullptr;
+    for (std::size_t i = 0; i < genomes.size(); ++i) {
+      counts_[i] = static_cast<std::uint8_t>(fn_->evaluate(
+          genomes[i], std::span<double>(values_).subspan(i * stride_, stride_),
+          0));
     }
-    evaluate_genome_batch(*fn_, pool, genomes, values_, counts_);
   }
 
   const double* row(std::size_t i) const {
@@ -184,9 +163,8 @@ class BatchRunner {
   }
   std::size_t count(std::size_t i) const { return counts_[i]; }
 
-  /// Books row i into the result exactly like the former per-call lambda:
-  /// bumps the evaluation counter and either archives the point or bumps
-  /// the infeasible counter.
+  /// Books row i into the result: bumps the evaluation counter and either
+  /// archives the point or bumps the infeasible counter.
   bool book(std::size_t i, const Genome& genome, DseResult& result) const {
     ++result.evaluations;
     if (counts_[i] == 0) {
@@ -198,21 +176,35 @@ class BatchRunner {
     return true;
   }
 
+  /// Evaluates one genome into row 0 and books it.
+  bool evaluate_one(const Genome& genome, DseResult& result) {
+    evaluate(std::span<const Genome>(&genome, 1));
+    return book(0, genome, result);
+  }
+
  private:
   const BatchObjectiveFunction* fn_;
   std::size_t stride_;
-  util::ThreadPool* external_pool_;  ///< campaign-shared; not owned
-  std::unique_ptr<util::ThreadPool> pool_;
   std::vector<double> values_;
   std::vector<std::uint8_t> counts_;
 };
+
+/// The optimizers run on the calling thread; `threads` above 1 is refused
+/// rather than silently ignored.
+void require_calling_thread(std::size_t threads, const char* optimizer) {
+  if (threads > 1) {
+    throw std::invalid_argument(
+        std::string(optimizer) + ": threads must be 0 or 1 (the calling "
+        "thread); run independent scenarios concurrently with jobs instead");
+  }
+}
 
 /// When the progress sink fires: at the start, whenever the optimizer's
 /// own budget counter crosses a multiple of
 /// `stride = max(population, budget / 64)`, and when it reaches the budget.
 /// A run therefore emits at most 2 + budget / stride snapshots (about 66
 /// for any large budget, never more than 129), and which ones is a pure
-/// function of the options — never of threads or pool width.
+/// function of the options.
 class ProgressCadence {
  public:
   ProgressCadence(std::size_t budget, std::size_t population)
@@ -255,17 +247,18 @@ DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
   if (options.population < 4) {
     throw std::invalid_argument("run_nsga2: population must be >= 4");
   }
+  require_calling_thread(options.threads, "run_nsga2");
   const util::Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
-  BatchRunner runner(fn, options.threads, options.pool);
+  BatchRunner runner(fn);
   PopulationRanker ranker;
 
   // The whole generation is drawn before any evaluation. Objective calls
   // consume no PRNG state, so pulling them out of the draw loop leaves
   // the random stream — and therefore the run — bit-identical to the
-  // former draw-evaluate interleaving while exposing a full batch to the
-  // worker pool.
+  // former draw-evaluate interleaving, and the genome buffers are reused
+  // from generation to generation.
   std::vector<Genome> pending(options.population);
   std::vector<Individual> population;
   std::vector<Individual> survivors;
@@ -349,24 +342,18 @@ DseResult run_nsga2(const DesignSpace& space, const BatchObjectiveFunction& fn,
 
 DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,
                    const MosaOptions& options) {
+  require_calling_thread(options.threads, "run_mosa");
   const util::Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
-  BatchRunner runner(fn, options.threads, options.pool);
+  BatchRunner runner(fn);
 
-  std::vector<Genome> single(1);
-  const auto evaluate_one = [&](const Genome& genome) -> bool {
-    single[0] = genome;
-    runner.evaluate(single);
-    return runner.book(0, genome, result);
-  };
-
-  // Start from a feasible point (bounded retries), exactly as before.
+  // Start from a feasible point (bounded retries).
   Genome current = space.random_genome(rng);
-  bool have_current = evaluate_one(current);
+  bool have_current = runner.evaluate_one(current, result);
   for (int tries = 0; !have_current && tries < 512; ++tries) {
     current = space.random_genome(rng);
-    have_current = evaluate_one(current);
+    have_current = runner.evaluate_one(current, result);
   }
   if (!have_current) {
     result.wallclock_s = watch.elapsed_s();
@@ -376,84 +363,38 @@ DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,
   std::array<double, kMaxObjectives> current_obj{};
   std::copy_n(runner.row(0), m, current_obj.begin());
 
-  // Speculative lookahead: draw `width` proposals assuming the chain
-  // rejects each one (the dominant outcome once cooled), evaluate them as
-  // one parallel batch, then replay the exact sequential accept rule.
-  // Each proposal snapshots the PRNG around its acceptance draw so a
-  // misprediction rewinds the stream to precisely where the sequential
-  // algorithm would be; discarded speculative evaluations never reach the
-  // archive or the counters. Width 1 degenerates to the classic loop.
-  struct Proposal {
-    Genome genome;
-    util::Rng rng_after_mutate{0};
-    util::Rng rng_after_u{0};
-    double u = 0.0;
+  // A neighbour the current point does not dominate is always accepted; a
+  // dominated one with probability exp(-relative worsening / T), the only
+  // case that draws the acceptance uniform.
+  double temperature = options.initial_temperature;
+  const auto accepts = [&](const double* neighbour_obj) {
+    if (!detail::dominates_row(current_obj.data(), neighbour_obj, m)) {
+      return true;
+    }
+    double worsening = 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+      const double denom = std::abs(current_obj[k]) + 1e-12;
+      worsening += (neighbour_obj[k] - current_obj[k]) / denom;
+    }
+    return rng.uniform01() <
+           std::exp(-worsening / std::max(temperature, 1e-9));
   };
-  const std::size_t width = runner.width();
-  std::vector<Proposal> proposals(width);
-  std::vector<Genome> batch(width);
 
   // The budget counter is the iteration count, one proposal per step.
   const ProgressCadence cadence(options.iterations, 1);
-  double temperature = options.initial_temperature;
-  std::size_t it = 0;
-  notify_progress(options.progress, it, result, watch);
-  while (it < options.iterations) {
-    const std::size_t b_count = std::min(width, options.iterations - it);
-    for (std::size_t b = 0; b < b_count; ++b) {
-      Proposal& p = proposals[b];
-      p.genome = current;
-      space.mutate(p.genome, rng, options.mutation_rate);
-      p.rng_after_mutate = rng;
-      // Pre-commit the acceptance uniform: bernoulli(p) == (u < p).
-      p.u = rng.uniform01();
-      p.rng_after_u = rng;
-      batch[b] = p.genome;
+  Genome neighbour;
+  notify_progress(options.progress, 0, result, watch);
+  for (std::size_t it = 1; it <= options.iterations; ++it) {
+    neighbour = current;
+    space.mutate(neighbour, rng, options.mutation_rate);
+    const bool feasible = runner.evaluate_one(neighbour, result);
+    temperature *= options.cooling;
+    if (feasible && accepts(runner.row(0))) {
+      current.swap(neighbour);
+      std::copy_n(runner.row(0), m, current_obj.begin());
     }
-    runner.evaluate(std::span<const Genome>(batch.data(), b_count));
-
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const Proposal& p = proposals[b];
-      const bool feasible = runner.book(b, p.genome, result);
-      temperature *= options.cooling;
-      ++it;
-      // `result` now holds exactly the sequential state after iteration
-      // `it`, so the snapshots are the same at every batch width.
-      if (cadence.due(it - 1, it)) {
-        notify_progress(options.progress, it, result, watch);
-      }
-      if (!feasible) {
-        // Sequential algorithm would not have drawn the acceptance
-        // uniform: rewind and invalidate the rest of the batch.
-        rng = p.rng_after_mutate;
-        break;
-      }
-      const double* neighbour_obj = runner.row(b);
-      bool accept;
-      bool used_u = false;
-      if (!detail::dominates_row(current_obj.data(), neighbour_obj, m)) {
-        // Neighbour is non-dominated w.r.t. current (or dominates it).
-        accept = true;
-      } else {
-        // Dominated: accept with probability exp(-relative worsening / T).
-        double worsening = 0.0;
-        for (std::size_t k = 0; k < m; ++k) {
-          const double denom = std::abs(current_obj[k]) + 1e-12;
-          worsening += (neighbour_obj[k] - current_obj[k]) / denom;
-        }
-        accept = p.u < std::exp(-worsening / std::max(temperature, 1e-9));
-        used_u = true;
-      }
-      if (accept) {
-        current = p.genome;
-        std::copy_n(neighbour_obj, m, current_obj.begin());
-        // The chain moved: later speculative proposals were drawn from
-        // the wrong state. Rewind past exactly the draws consumed here.
-        rng = used_u ? p.rng_after_u : p.rng_after_mutate;
-        break;
-      }
-      // Rejected with the uniform consumed — the speculation assumption
-      // held; the next proposal in the batch is already valid.
+    if (cadence.due(it - 1, it)) {
+      notify_progress(options.progress, it, result, watch);
     }
   }
   result.wallclock_s = watch.elapsed_s();
@@ -466,12 +407,11 @@ DseResult run_random_search(const DesignSpace& space,
   const util::Stopwatch watch;
   util::Rng rng(options.seed);
   DseResult result;
-  BatchRunner runner(fn, 1, nullptr);
-  std::vector<Genome> single(1);
+  BatchRunner runner(fn);
+  Genome genome;
   for (std::size_t i = 0; i < options.samples; ++i) {
-    single[0] = space.random_genome(rng);
-    runner.evaluate(single);
-    runner.book(0, single[0], result);
+    genome = space.random_genome(rng);
+    runner.evaluate_one(genome, result);
   }
   result.wallclock_s = watch.elapsed_s();
   return result;

@@ -13,10 +13,6 @@
 #include "dse/objectives.hpp"
 #include "dse/pareto.hpp"
 
-namespace wsnex::util {
-class ThreadPool;  // util/thread_pool.hpp — only referenced by pointer here
-}
-
 namespace wsnex::dse {
 
 /// Common result of one DSE run.
@@ -42,8 +38,7 @@ struct DseResult {
 /// callback.
 struct ProgressSnapshot {
   /// NSGA-II: generation index (0 is the evaluated initial population).
-  /// MOSA: iterations completed (0 is the feasible start point); at
-  /// threads 1 this is also the index of the speculative batch round.
+  /// MOSA: iterations completed (0 is the feasible start point).
   std::size_t generation = 0;
   std::size_t evaluations = 0;  ///< objective calls issued so far
   std::size_t archive_size = 0;
@@ -61,14 +56,13 @@ struct ProgressSnapshot {
 /// after whole generations; MOSA counts iterations (population 1, budget
 /// `iterations`). A run thus fires at most 2 + budget / stride times — 61
 /// for the default NSGA-II, 66 for the default MOSA, never more than 129 —
-/// and which snapshots it delivers depends only on the options, never on
-/// threads or pool width.
+/// and which snapshots it delivers depends only on the options.
 ///
 /// Strictly read-only: the optimizers invoke it outside all PRNG draws and
 /// archive mutations, so attaching a sink (or not) never changes results —
-/// archives stay byte-identical either way. The sink runs on the
-/// optimizer's thread; with an external pool several concurrent runs may
-/// each invoke their own sink from different threads.
+/// archives stay byte-identical either way. The sink runs on the thread
+/// that called the optimizer; concurrent runs (campaign lanes, serve
+/// slots) each invoke their own sink from their own thread.
 using ProgressSink = std::function<void(const ProgressSnapshot&)>;
 
 /// Tuning knobs for run_nsga2(). All defaults reproduce the paper's setup
@@ -90,20 +84,12 @@ struct Nsga2Options {
   double mutation_rate = 0.08;  ///< per gene
   /// PRNG seed; identical seeds give bit-identical runs.
   std::uint64_t seed = 1;
-  /// Worker threads for objective evaluation: 0 picks the hardware
-  /// concurrency, 1 evaluates inline with no pool at all; the width is
-  /// clamped to the objective's worker_slots(). Each generation is drawn
-  /// up-front and evaluated as one batch with index-ordered results, so
-  /// the outcome (archive contents, evaluation counts, population
-  /// trajectory) is independent of this value — threads only change
-  /// wall-clock time.
+  /// 0 or 1; both evaluate on the calling thread (worker slot 0). A
+  /// generation's ~0.4 us evaluations are too small to split across
+  /// threads, so parallelism lives one level up: run independent
+  /// scenarios concurrently (campaign `jobs`, serve `slots`). Any larger
+  /// value throws std::invalid_argument naming `jobs`.
   std::size_t threads = 0;
-  /// Optional externally owned pool for batch evaluation (campaign mode:
-  /// many optimizer runs share one pool, and the runs themselves execute
-  /// as tasks on it — the pool is reentrant). When set, `threads` is
-  /// ignored and the objective's worker_slots() must cover pool->size().
-  /// Results are unchanged either way; the pool must outlive the run.
-  util::ThreadPool* pool = nullptr;
   /// Optional convergence observer, called after the initial population is
   /// ranked (generation 0) and after each generation whose evaluations
   /// cross a cadence stride or end the run — every generation when
@@ -136,26 +122,14 @@ struct MosaOptions {
   double mutation_rate = 0.15;
   /// PRNG seed; identical seeds give bit-identical runs.
   std::uint64_t seed = 1;
-  /// Worker threads for objective evaluation (0 = hardware concurrency,
-  /// 1 = inline; clamped to worker_slots() as in Nsga2Options::threads).
-  /// The annealing chain is inherently sequential, so
-  /// threads > 1 evaluates speculative lookahead batches: `threads`
-  /// neighbour proposals are drawn (with their acceptance randomness
-  /// pre-committed) under the assumption that the chain rejects each one,
-  /// evaluated in parallel, then replayed through the exact sequential
-  /// accept rule; on the first acceptance or infeasible proposal the
-  /// remaining speculation is discarded and the PRNG rewound. Discarded
-  /// evaluations never touch the archive or the counters, so results are
-  /// bit-identical for every thread count; speedup tracks the rejection
-  /// rate (high once the temperature has cooled).
+  /// 0 or 1, as Nsga2Options::threads: the annealing chain is sequential
+  /// and runs on the calling thread. Any larger value throws
+  /// std::invalid_argument naming `jobs`.
   std::size_t threads = 0;
-  /// Optional externally owned evaluation pool — see Nsga2Options::pool.
-  util::ThreadPool* pool = nullptr;
   /// Optional convergence observer, called at the feasible start point
   /// (generation 0), every max(1, iterations / 64) iterations and after
-  /// the last one — 66 times at the default budget — at exact iteration
-  /// counts inside the speculative replay, so the same snapshots arrive at
-  /// every thread count. See ProgressSink for the no-perturbation contract.
+  /// the last one — 66 times at the default budget. See ProgressSink for
+  /// the no-perturbation contract.
   ProgressSink progress;
 };
 
@@ -163,7 +137,8 @@ struct MosaOptions {
 /// is accepted if it is not dominated by the current point; dominated
 /// neighbours are accepted with a temperature-controlled probability
 /// driven by the normalized domination amount (in the spirit of Nam/Park's
-/// multiobjective SA, the algorithm the paper cites [27]).
+/// multiobjective SA, the algorithm the paper cites [27]). The acceptance
+/// uniform is drawn only for a feasible, dominated neighbour.
 DseResult run_mosa(const DesignSpace& space, const BatchObjectiveFunction& fn,
                    const MosaOptions& options);
 

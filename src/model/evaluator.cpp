@@ -1,6 +1,6 @@
 #include "model/evaluator.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "hw/hw_simulator.hpp"
 
@@ -16,8 +16,16 @@ NetworkModelEvaluator::NetworkModelEvaluator(
       cs_(std::move(cs)),
       options_(options),
       radio_(calibrate_radio(platform, default_calibration_activity())) {
-  assert(dwt_ && dwt_->kind() == AppKind::kDwt);
-  assert(cs_ && cs_->kind() == AppKind::kCs);
+  if (!dwt_ || dwt_->kind() != AppKind::kDwt) {
+    throw std::invalid_argument(
+        "NetworkModelEvaluator: the dwt model must be non-null and of kind "
+        "kDwt");
+  }
+  if (!cs_ || cs_->kind() != AppKind::kCs) {
+    throw std::invalid_argument(
+        "NetworkModelEvaluator: the cs model must be non-null and of kind "
+        "kCs");
+  }
 }
 
 NetworkModelEvaluator NetworkModelEvaluator::make_default(

@@ -110,12 +110,15 @@ struct EvalScratch {
 /// Unit conventions used throughout: power in mW, energy in mJ and energy
 /// rates in mJ/s (hw::PlatformPower holds the datasheet coefficients), ECG
 /// signal amplitudes in mV, data rates in bytes/s, frequencies in kHz
-/// (f_uC) or Hz (sampling), delays in seconds, PRD in percent. Nothing
-/// here throws: out-of-range options (e.g. frame_error_rate outside
-/// [0, 1)) surface as feasible == false with a reason string on every
-/// evaluate() call.
+/// (f_uC) or Hz (sampling), delays in seconds, PRD in percent. Only the
+/// constructor throws (std::invalid_argument, for a null or mis-kinded
+/// application model); evaluation never does: out-of-range options (e.g.
+/// frame_error_rate outside [0, 1)) surface as feasible == false with a
+/// reason string on every evaluate() call.
 class NetworkModelEvaluator {
  public:
+  /// Throws std::invalid_argument when `dwt` is not a non-null kDwt model
+  /// or `cs` not a non-null kCs one.
   NetworkModelEvaluator(const hw::PlatformPower& platform, SignalChain chain,
                         std::shared_ptr<const ApplicationModel> dwt,
                         std::shared_ptr<const ApplicationModel> cs,

@@ -7,6 +7,7 @@
 #include <charconv>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <string_view>
 
 #include <fstream>
@@ -247,6 +248,16 @@ dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
   };
 }
 
+/// Each scenario runs on one thread; a `threads` above 1 is refused
+/// rather than silently ignored.
+void require_calling_thread(const CampaignOptions& options) {
+  if (options.threads.value_or(0) > 1) {
+    throw std::invalid_argument(
+        "campaign: threads must be 0 or 1 (each scenario runs on one "
+        "thread); use jobs to run scenarios concurrently");
+  }
+}
+
 }  // namespace
 
 util::metrics::Histogram& scenario_seconds_histogram() {
@@ -267,6 +278,7 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
                                 ResultStore& store, util::ThreadPool* pool,
                                 dse::SharedEvalCache* cache) {
+  require_calling_thread(options);
   util::trace::Span scenario_span("scenario", spec.name);
   ScenarioPerf perf;
   const double scenario_start = util::now_s();
@@ -281,8 +293,7 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
       make_convergence_sink(spec, options, store);
   ScenarioRun run = [&] {
     util::trace::Span span("evaluate");
-    return run_scenario(spec, options.quick, options.threads, pool, cache,
-                        convergence);
+    return run_scenario(spec, options.quick, cache, convergence);
   }();
   perf.evaluate_s = util::now_s() - phase_start;
 
@@ -354,11 +365,11 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
 
 namespace {
 
-/// Runs the campaign on one pool sized by ThreadPool::resolve_layout:
-/// `layout.jobs` lanes each claim the next spec index until the outcome
-/// prefix is exhausted, so at most `jobs` scenarios are in flight and, at
-/// jobs 1, the specs run in order on the calling thread. Scenario
-/// evaluation batches and the post-scenario hook fan out on the same
+/// Runs the campaign on one pool of min(jobs, scenarios to run) lanes:
+/// each lane claims the next spec index until the outcome prefix is
+/// exhausted and runs that scenario on its own thread, so at most `jobs`
+/// scenarios are in flight and, at jobs 1, the specs run in order on the
+/// calling thread. The post-scenario hook may fan out on the same
 /// (reentrant) pool. Result files do not depend on the lane count: each
 /// scenario is individually deterministic and the archives are written in
 /// canonical order; only the order of progress reports differs.
@@ -387,15 +398,16 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
     ++pending;
   }
 
-  const util::ThreadPool::Layout layout = util::ThreadPool::resolve_layout(
-      options.jobs, options.threads.value_or(0));
-  util::ThreadPool pool(layout.pool_width);
+  // No more lanes than scenarios to run, and at least the calling thread.
+  const std::size_t lanes =
+      std::max<std::size_t>(1, std::min(options.jobs, pending));
+  util::ThreadPool pool(lanes);
   CampaignReport report;
   std::vector<CampaignOutcome> outcomes(cutoff);
   std::mutex mutex;  // guards the manifest, `report` and `progress`
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  pool.run_tasks(layout.jobs, [&](std::size_t) {
+  pool.run_tasks(lanes, [&](std::size_t) {
     // After a failure no lane starts another scenario; in-flight ones
     // finish and persist, and run_tasks rethrows once every lane is done.
     while (!failed.load(std::memory_order_relaxed)) {
@@ -473,24 +485,15 @@ std::vector<std::size_t> feasible_entries(
 }
 
 ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
-                         std::optional<std::size_t> threads_override,
-                         util::ThreadPool* pool, dse::SharedEvalCache* cache,
+                         dse::SharedEvalCache* cache,
                          const dse::ProgressSink& progress) {
   spec.validate();
   const ScenarioSpec effective = quick ? quick_variant(spec) : spec;
-  const std::size_t threads =
-      threads_override.value_or(effective.optimizer.threads);
-  // On a shared campaign pool any worker may run an evaluation chunk, so
-  // the objective needs one scratch slot per pool worker.
-  const std::size_t workers = pool != nullptr
-                                  ? pool->size()
-                                  : util::ThreadPool::resolve_threads(threads);
-
   const auto evaluator =
       model::NetworkModelEvaluator::make_default(effective.evaluator_options());
   dse::DesignSpace space(effective.design_space_config());
-  const auto objective = dse::make_memoized_full_model_objective(
-      evaluator, space, workers, cache);
+  const auto objective =
+      dse::make_memoized_full_model_objective(evaluator, space, 1, cache);
 
   const OptimizerSettings& opt = effective.optimizer;
   dse::DseResult result;
@@ -502,8 +505,6 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
       o.crossover_rate = opt.crossover_rate;
       if (opt.mutation_rate > 0.0) o.mutation_rate = opt.mutation_rate;
       o.seed = opt.seed;
-      o.threads = workers;
-      o.pool = pool;
       o.progress = progress;
       result = dse::run_nsga2(space, *objective, o);
       break;
@@ -515,8 +516,6 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick,
       o.cooling = opt.cooling;
       if (opt.mutation_rate > 0.0) o.mutation_rate = opt.mutation_rate;
       o.seed = opt.seed;
-      o.threads = workers;
-      o.pool = pool;
       o.progress = progress;
       result = dse::run_mosa(space, *objective, o);
       break;
@@ -542,6 +541,7 @@ CampaignReport run_campaign(
   if (options.out_dir.empty()) {
     throw ScenarioError("campaign needs an output directory");
   }
+  require_calling_thread(options);
   for (const ScenarioSpec& spec : specs) spec.validate();
   check_unique_names(specs);
   ResultStore store(options.out_dir);
@@ -567,7 +567,6 @@ CampaignReport resume_campaign(
   CampaignOptions options;
   options.out_dir = out_dir;
   options.quick = manifest.quick;
-  options.threads = overrides.threads;
   options.abort_after = overrides.abort_after;
   options.jobs = overrides.jobs;
   options.cache_dir = overrides.cache_dir;

@@ -4,9 +4,8 @@
 // cross-scenario evaluation cache.
 //
 // Reproducibility: each scenario runs the memoized batch objective with
-// the spec's seed; the engine guarantees archives bit-identical across
-// thread counts AND across campaign job counts (per-scenario runs are
-// independent, evaluation results are placed by index, and shared-cache
+// the spec's seed on one thread; archives are bit-identical across
+// campaign job counts (per-scenario runs are independent and shared-cache
 // artifacts are immutable key-matched inputs), and the archive rows are
 // written in a canonical sort order. So a resumed campaign's result files
 // are byte-identical to an uninterrupted run, and a `jobs=N` campaign's
@@ -14,14 +13,13 @@
 // both assert this). Only the summary/manifest wallclock fields differ
 // between runs.
 //
-// Scheduling: one util::ThreadPool serves both levels — `jobs` lanes on
-// the pool each claim the next scenario in spec order, and each
-// scenario's evaluation batches (and post-scenario hook) fan out as
-// subtasks on the same pool (it is reentrant), so at most `jobs`
-// scenarios are in flight and campaign x evaluation parallelism never
-// oversubscribes the machine (ThreadPool::resolve_layout clamps the
-// product). At jobs 1 the scenarios run in spec order on the calling
-// thread.
+// Scheduling: scenarios are the unit of parallelism. One util::ThreadPool
+// of min(jobs, scenarios to run) workers runs that many lanes, each
+// claiming the next scenario in spec order and running its optimizer on
+// the lane's own thread, so at most `jobs` scenarios are in flight. The
+// pool stays reentrant for the post-scenario hook: `--validate` fans its
+// replicates out on it. At jobs 1 the scenarios run in spec order on the
+// calling thread.
 #pragma once
 
 #include <functional>
@@ -54,19 +52,15 @@ struct ScenarioRun {
   double frame_error_rate = 0.0;  ///< effective FER the evaluator used
 };
 
-/// Runs one scenario through the memoized batch engine. `threads_override`
-/// replaces the spec's thread setting (results are identical either way;
-/// only wall-clock changes). `quick` shrinks the optimizer budget to a
-/// smoke-test size (deterministically — quick runs are reproducible too).
-/// `pool` (campaign mode) runs the evaluation batches on an external
-/// shared pool instead of a run-private one; `cache` shares the app-layer
-/// table and MAC models across scenarios. Neither changes results.
-/// `progress`, when set, is attached to the optimizer as its convergence
-/// observer (dse::ProgressSink). Strictly read-only: results
-/// are byte-identical with or without it.
+/// Runs one scenario through the memoized batch engine on the calling
+/// thread. `quick` shrinks the optimizer budget to a smoke-test size
+/// (deterministically — quick runs are reproducible too). `cache` shares
+/// the app-layer table and MAC models across scenarios without changing
+/// results. `progress`, when set, is attached to the optimizer as its
+/// convergence observer (dse::ProgressSink). Strictly read-only: results
+/// are byte-identical with or without it. The spec's optimizer.threads is
+/// not consulted.
 ScenarioRun run_scenario(const ScenarioSpec& spec, bool quick = false,
-                         std::optional<std::size_t> threads_override = {},
-                         util::ThreadPool* pool = nullptr,
                          dse::SharedEvalCache* cache = nullptr,
                          const dse::ProgressSink& progress = {});
 
@@ -103,8 +97,8 @@ util::metrics::Histogram& scenario_seconds_histogram();
 /// validate subsystem installs its Monte Carlo validator here
 /// (`wsnex run --validate`); the scenario layer itself stays independent
 /// of the modules above it. `pool` is the campaign pool execute_scenario
-/// was given (null only when a caller passes none); hooks may fan
-/// subtasks out on it.
+/// was given (null when a caller passes none); hooks may fan subtasks out
+/// on it.
 using PostScenarioHook = std::function<void(
     const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store,
     util::ThreadPool* pool)>;
@@ -114,20 +108,19 @@ struct CampaignOptions {
   std::string out_dir;  ///< result-store root (created if absent)
   bool quick = false;   ///< shrink every scenario's budget (recorded in the
                         ///< manifest; resume inherits it)
-  /// Evaluation threads per scenario (unset or 0 = hardware
-  /// concurrency): with `jobs` it sizes the campaign pool through
-  /// util::ThreadPool::resolve_layout(jobs, threads), and the specs'
-  /// optimizer.threads are not consulted. Never changes results.
+  /// Unset, 0 or 1: each scenario's optimizer runs on its lane's thread.
+  /// Any larger value throws std::invalid_argument naming `jobs`, the
+  /// knob that spreads a campaign over threads. The specs'
+  /// optimizer.threads are not consulted.
   std::optional<std::size_t> threads;
   /// Testing hook: stop (as if killed) after this many scenarios have been
   /// *executed* in this invocation; the manifest keeps the rest pending so
   /// a resume can pick them up. 0 = no limit.
   std::size_t abort_after = 0;
-  /// Maximum scenarios in flight (`wsnex run --jobs N`); 1 runs them in
-  /// spec order. Scenarios and their evaluation batches share one pool
-  /// sized by util::ThreadPool::resolve_layout(jobs, threads), so the two
-  /// levels never oversubscribe the machine. Never changes result files —
-  /// only wall-clock and the order progress is reported in.
+  /// Maximum scenarios in flight (`wsnex run --jobs N`); 0 and 1 run them
+  /// in spec order on the calling thread. The campaign pool is
+  /// min(jobs, scenarios to run) wide. Never changes result files — only
+  /// wall-clock and the order progress is reported in.
   std::size_t jobs = 1;
   /// On-disk warm-cache directory (`wsnex run --cache-dir DIR`): the
   /// first campaign writes the PRD codec calibration (the dominant
@@ -163,10 +156,10 @@ struct CampaignOptions {
 /// `store` — everything except the manifest update, which the caller
 /// serializes via ResultStore::record_complete once the returned status is
 /// safe to publish. This is the shared unit of work of the campaign
-/// driver and the `wsnex serve` job scheduler: both interleave many of
-/// these on one pool, each followed by its own record_complete. A null
-/// `pool` evaluates on a run-private pool sized by the spec's
-/// optimizer.threads.
+/// driver and the `wsnex serve` job scheduler: both run many of these
+/// concurrently, each on its own thread and followed by its own
+/// record_complete. The optimizer runs on the calling thread; `pool` only
+/// reaches the post_scenario hook (null = none).
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
                                 ResultStore& store, util::ThreadPool* pool,
@@ -203,7 +196,6 @@ CampaignReport run_campaign(
 /// and the quick flag — always comes from the stored manifest; these
 /// knobs never change results).
 struct ResumeOverrides {
-  std::optional<std::size_t> threads;
   std::size_t abort_after = 0;
   std::size_t jobs = 1;
   std::string cache_dir;

@@ -6,14 +6,13 @@
 // mix), the explored grids (CR, f_uC, payload, BCO, SFO gap), the channel
 // quality, the battery fitted to the nodes, the clinical service levels
 // (PRD and delay ceilings) and the optimizer settings (engine, budget,
-// seed, threads). Specs round-trip through util::Json, so deployments are
+// seed). Specs round-trip through util::Json, so deployments are
 // plain *.json files a clinician-facing tool (or the wsnex CLI) can edit
 // without recompiling anything.
 //
 // Determinism contract: a validated spec fully determines the exploration
-// result. The PR 2 engine guarantees archives are bit-identical for a
-// fixed (spec, seed) across thread counts, which is what makes campaign
-// checkpoint/resume (campaign.hpp) reproducible.
+// result: archives are bit-identical for a fixed (spec, seed), which is
+// what makes campaign checkpoint/resume (campaign.hpp) reproducible.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +52,11 @@ struct OptimizerSettings {
   double initial_temperature = 1.0; ///< MOSA, > 0
   double cooling = 0.999;           ///< MOSA geometric factor, in (0, 1]
   std::uint64_t seed = 1;
-  /// Worker threads (0 = hardware concurrency). Never changes results —
-  /// the batch engine is thread-count independent — only wall-clock.
+  /// No-op, kept so JSON that carries it still parses and round-trips:
+  /// frozen campaign stores, serve shards, examples/scenarios/*.json and
+  /// client specs all have an "optimizer.threads" key, and from_json
+  /// rejects unknown keys. The optimizer runs on the calling thread
+  /// whatever its value; campaigns parallelize across scenarios (`jobs`).
   std::size_t threads = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
 
 #include <chrono>
 
@@ -143,15 +144,17 @@ util::Json JobProgress::to_json() const {
 
 JobScheduler::JobScheduler(SchedulerOptions options)
     : options_(std::move(options)),
-      pool_(util::ThreadPool::resolve_layout(
-                util::ThreadPool::resolve_threads(options_.slots),
-                options_.threads)
-                .pool_width),
+      pool_(options_.slots),
       cache_(dse::SharedEvalCache::instance()) {
   if (options_.data_dir.empty()) {
     throw ServeError("scheduler: data_dir must be set");
   }
-  options_.slots = util::ThreadPool::resolve_threads(options_.slots);
+  if (options_.threads > 1) {
+    throw std::invalid_argument(
+        "scheduler: threads must be 0 or 1 (each unit runs on one "
+        "thread); use slots to run units concurrently");
+  }
+  options_.slots = pool_.size();
   if (options_.max_queued_jobs == 0) options_.max_queued_jobs = 1;
   if (options_.max_priority == 0) options_.max_priority = 1;
   if (!options_.cache_dir.empty() &&
@@ -760,11 +763,10 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
     if (job.spec.kind == JobKind::kCampaign) {
       scenario::CampaignOptions copts;
       copts.quick = job.spec.quick;
-      copts.threads = options_.threads;
       copts.events = job.events.get();
       copts.event_job_id = job.spec.id;
       const scenario::ScenarioStatus status =
-          scenario::execute_scenario(spec, copts, *job.store, &pool_, &cache_);
+          scenario::execute_scenario(spec, copts, *job.store, nullptr, &cache_);
       std::lock_guard<std::mutex> io(job.io_mutex);
       job.store->record_complete(status);
     } else {

@@ -1,18 +1,18 @@
 // The campaign service's job scheduler: many concurrent jobs multiplexed
-// onto one shared, reentrant util::ThreadPool with weighted-round-robin
-// fairness and per-job priorities.
+// onto `slots` worker threads with weighted-round-robin fairness and
+// per-job priorities.
 //
 // Jobs decompose into *units* — one scenario exploration (campaign jobs)
 // or one scenario's Monte Carlo validation (validation jobs). A fixed set
 // of `slots` scheduler workers claims units one at a time through a
 // WeightedRoundRobin allocator: while several jobs have pending units, a
 // priority-w job is granted w units for every one a priority-1 job gets,
-// so a big batch cannot starve a small interactive one. Every unit's
-// evaluation batches fan out on the single shared ThreadPool (sized by
-// util::ThreadPool::resolve_layout(slots, threads), the same
-// no-oversubscription contract the campaign --jobs scheduler uses), and
-// all jobs share the process-wide dse::SharedEvalCache plus the on-disk
-// PRD calibration cache — every job after the first runs warm.
+// so a big batch cannot starve a small interactive one. A campaign unit's
+// optimizer runs on its slot's thread; a validation unit's replicates fan
+// out on one util::ThreadPool of `slots` workers that all validation
+// units share (the slot's thread helps with its own). All jobs share the
+// process-wide dse::SharedEvalCache plus the on-disk PRD calibration
+// cache — every job after the first runs warm.
 //
 // Fault model:
 //  * admission control — max_queued_jobs non-terminal jobs; excess
@@ -94,10 +94,11 @@ class WeightedRoundRobin {
 struct SchedulerOptions {
   /// Daemon state root; jobs live under <data_dir>/jobs/<shard>/.
   std::string data_dir;
-  /// Concurrent units (scheduler workers). 0 = hardware concurrency.
+  /// Concurrent units (scheduler workers), and the width of the pool
+  /// validation replicates share. 0 = hardware concurrency.
   std::size_t slots = 0;
-  /// Evaluation threads per unit (0 = hardware concurrency); the shared
-  /// pool is sized by resolve_layout(slots, threads).
+  /// 0 or 1: each unit runs on its slot's thread. Any larger value throws
+  /// std::invalid_argument naming `slots`.
   std::size_t threads = 0;
   /// Admission ceiling: maximum non-terminal (queued + running) jobs.
   std::size_t max_queued_jobs = 64;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/clock.hpp"
-#include "util/logging.hpp"
 #include "util/metrics.hpp"
 
 namespace wsnex::util {
@@ -49,30 +48,6 @@ std::size_t ThreadPool::resolve_threads(std::size_t threads) {
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-ThreadPool::Layout ThreadPool::resolve_layout(std::size_t jobs,
-                                              std::size_t threads) {
-  Layout layout;
-  layout.jobs = std::max<std::size_t>(1, jobs);
-  const std::size_t hw = resolve_threads(0);
-  const std::size_t per_job = resolve_threads(threads);
-  const std::size_t product = layout.jobs * per_job;
-  layout.pool_width = std::min(product, std::max(layout.jobs, hw));
-  // Warn only when the user *explicitly* asked for a per-job thread count
-  // whose product had to be clamped; threads == 0 means "share the
-  // hardware", which is exactly what the clamp produces — no surprise to
-  // report.
-  if (threads != 0 && layout.pool_width != product) {
-    static std::once_flag logged;
-    std::call_once(logged, [&] {
-      WSNEX_WARN() << "campaign layout: " << layout.jobs << " job(s) x "
-                   << per_job << " eval thread(s) would oversubscribe " << hw
-                   << " hardware thread(s); clamping to a shared pool of "
-                   << layout.pool_width << " worker(s)";
-    });
-  }
-  return layout;
 }
 
 ThreadPool::ThreadPool(std::size_t threads)

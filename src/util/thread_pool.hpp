@@ -1,17 +1,18 @@
-// Fixed-size cooperative thread pool for deterministic batch fan-out.
+// Fixed-size cooperative thread pool for coarse, independent units of
+// work: campaign scenarios and Monte Carlo validation replicates. (The
+// optimizers never use it: one evaluation costs ~0.4 us, far too little
+// to split a scenario across threads.)
 //
 // Two fan-out primitives share one worker set and one FIFO work queue:
 //
-//  * parallel_for() — the DSE batch primitive. The index range is split
+//  * parallel_for() — the replicate primitive. The index range is split
 //    into size() contiguous chunks and fn receives the *chunk index* as
 //    its worker id, so the mapping from index to worker id is a pure
 //    function of (range, pool size) regardless of which thread executes
 //    the chunk. Callers that write results by index therefore produce
-//    identical output for any worker count — the property the batch
-//    evaluator relies on for its threads=1 vs threads=N bit-identity
-//    guarantee.
-//  * run_tasks() — coarse task fan-out for the campaign scheduler: tasks
-//    are claimed FIFO by idle workers, so long and short tasks balance
+//    identical output for any worker count.
+//  * run_tasks() — coarse task fan-out for the campaign lanes: tasks are
+//    claimed FIFO by idle workers, so long and short tasks balance
 //    dynamically.
 //
 // Both primitives are *reentrant*: a task or chunk running on the pool
@@ -19,9 +20,9 @@
 // call enqueues its items on the shared queue and the calling thread
 // helps execute them (its own group's items only, so recursion depth is
 // bounded by the actual nesting), while idle workers pick up whatever is
-// queued. This is what lets campaign-level scenario tasks spawn
-// evaluation subtasks on the same pool — two scheduling levels, one set
-// of threads, no oversubscription.
+// queued. This is what lets a campaign lane's `--validate` hook fan its
+// replicates out on the campaign pool — two levels, one set of threads,
+// no oversubscription.
 #pragma once
 
 #include <condition_variable>
@@ -75,21 +76,6 @@ class ThreadPool {
   /// Resolves a thread-count request: 0 -> hardware concurrency (itself
   /// never 0), anything else unchanged.
   static std::size_t resolve_threads(std::size_t threads);
-
-  /// Two-level parallelism layout: `jobs` concurrent coarse tasks
-  /// (campaign scenarios), each wanting `threads` evaluation workers
-  /// (0 = hardware concurrency).
-  struct Layout {
-    std::size_t jobs = 1;        ///< concurrent coarse tasks to schedule
-    std::size_t pool_width = 1;  ///< shared-pool size serving both levels
-  };
-
-  /// Oversubscription guard: clamps jobs x threads to the hardware
-  /// concurrency (but never below `jobs` — an explicit jobs request keeps
-  /// its scenario-level concurrency) and logs the effective layout once
-  /// per process when it differs from the request, instead of silently
-  /// oversubscribing. jobs == 0 is treated as 1.
-  static Layout resolve_layout(std::size_t jobs, std::size_t threads);
 
  private:
   /// One fan-out call in flight: either a chunked range (parallel_for)

@@ -157,9 +157,9 @@ struct CampaignValidation {
 /// back to the reference design when nothing is feasible) and persists
 /// validation.json/validation.csv next to its archives. Replicate seeds
 /// derive from the spec's optimizer seed, and replicates fan out on the
-/// campaign pool the hook is handed (its width set by --threads/--jobs;
+/// campaign pool the hook is handed (min(--jobs, scenarios to run) wide;
 /// null runs them inline), so the files are deterministic for a fixed
-/// campaign regardless of --jobs/--threads.
+/// campaign regardless of --jobs.
 scenario::PostScenarioHook make_campaign_validation_hook(
     const CampaignValidation& options = {});
 

@@ -1,7 +1,6 @@
 // Determinism and bit-identity guarantees of the batched DSE engine:
 //  * the memoized batch objective returns results bit-identical to the
 //    uncached scalar path across a sweep of the case-study design space,
-//  * NSGA-II and MOSA archives are independent of the thread count,
 //  * the scalar oracle (through make_batch_adapter) and the memoized
 //    objective drive NSGA-II, MOSA and random search to the same archive,
 //  * the flat non-dominated sort matches a reference implementation.
@@ -119,23 +118,6 @@ TEST(MemoizedObjective, InvalidMacGridCombinationsMatchScalarInfeasibility) {
   }
 }
 
-TEST(Nsga2, ThreadCountDoesNotChangeTheRun) {
-  const DesignSpace space(DesignSpaceConfig::case_study());
-  const auto memo =
-      make_memoized_full_model_objective(shared_evaluator(), space, 8);
-  Nsga2Options opt;
-  opt.population = 32;
-  opt.generations = 8;
-  opt.seed = 97;
-  opt.threads = 1;
-  const DseResult serial = run_nsga2(space, *memo, opt);
-  opt.threads = 8;
-  const DseResult wide = run_nsga2(space, *memo, opt);
-  EXPECT_EQ(serial.evaluations, wide.evaluations);
-  EXPECT_EQ(serial.infeasible_count, wide.infeasible_count);
-  EXPECT_TRUE(same_entries(serial.archive, wide.archive));
-}
-
 TEST(Nsga2, ScalarAndMemoizedBatchProduceTheSameArchive) {
   const DesignSpace space(DesignSpaceConfig::case_study());
   const auto scalar = make_full_model_objective(shared_evaluator());
@@ -152,25 +134,6 @@ TEST(Nsga2, ScalarAndMemoizedBatchProduceTheSameArchive) {
   EXPECT_EQ(via_scalar.evaluations, via_memo.evaluations);
   EXPECT_EQ(via_scalar.infeasible_count, via_memo.infeasible_count);
   EXPECT_TRUE(same_entries(via_scalar.archive, via_memo.archive));
-}
-
-TEST(Mosa, ThreadCountDoesNotChangeTheRun) {
-  const DesignSpace space(DesignSpaceConfig::case_study());
-  const auto memo =
-      make_memoized_full_model_objective(shared_evaluator(), space, 8);
-  MosaOptions opt;
-  opt.iterations = 600;
-  opt.seed = 5;
-  opt.threads = 1;
-  const DseResult serial = run_mosa(space, *memo, opt);
-  opt.threads = 8;
-  const DseResult wide = run_mosa(space, *memo, opt);
-  // Speculative lookahead must replay to the exact sequential chain:
-  // identical counters (discarded speculation is never booked) and
-  // identical archive contents.
-  EXPECT_EQ(serial.evaluations, wide.evaluations);
-  EXPECT_EQ(serial.infeasible_count, wide.infeasible_count);
-  EXPECT_TRUE(same_entries(serial.archive, wide.archive));
 }
 
 TEST(Mosa, ScalarAndMemoizedBatchProduceTheSameArchive) {
@@ -219,19 +182,6 @@ TEST(BatchAdapter, MatchesScalarResults) {
     ASSERT_EQ(count, expect ? expect->size() : 0u);
     for (std::size_t k = 0; k < count; ++k) ASSERT_EQ(out[k], (*expect)[k]);
   }
-}
-
-TEST(EvaluateGenomeBatch, RejectsUndersizedBuffers) {
-  const DesignSpace space(tiny_space_config());
-  const auto scalar = make_full_model_objective(shared_evaluator());
-  const auto batch = make_batch_adapter(space, scalar, 1);
-  util::Rng rng(3);
-  const std::vector<Genome> genomes{space.random_genome(rng)};
-  std::vector<double> values(batch->arity());
-  std::vector<std::uint8_t> counts;  // too small
-  EXPECT_THROW(
-      evaluate_genome_batch(*batch, nullptr, genomes, values, counts),
-      std::invalid_argument);
 }
 
 TEST(EvalScratch, RepeatedEvaluationsMatchFreshOnes) {

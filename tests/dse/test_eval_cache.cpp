@@ -102,7 +102,8 @@ TEST(SharedEvalCache, ModelWithoutIdentityBypassesTheCache) {
   /// An application model that keeps the default empty cache_key().
   class OpaqueModel final : public model::ApplicationModel {
    public:
-    model::AppKind kind() const override { return model::AppKind::kDwt; }
+    explicit OpaqueModel(model::AppKind kind) : kind_(kind) {}
+    model::AppKind kind() const override { return kind_; }
     double output_bytes_per_s(double phi_in,
                               const model::NodeConfig& node) const override {
       return phi_in * node.cr;
@@ -117,13 +118,17 @@ TEST(SharedEvalCache, ModelWithoutIdentityBypassesTheCache) {
     double quality_loss(double, const model::NodeConfig&) const override {
       return 5.0;
     }
+
+   private:
+    model::AppKind kind_;
   };
-  EXPECT_TRUE(OpaqueModel().cache_key().empty());
+  EXPECT_TRUE(OpaqueModel(model::AppKind::kDwt).cache_key().empty());
 
   const auto base = model::NetworkModelEvaluator::make_default();
   const model::NetworkModelEvaluator evaluator(
-      base.platform(), base.chain(), std::make_shared<OpaqueModel>(),
-      std::make_shared<OpaqueModel>());
+      base.platform(), base.chain(),
+      std::make_shared<OpaqueModel>(model::AppKind::kDwt),
+      std::make_shared<OpaqueModel>(model::AppKind::kCs));
   SharedEvalCache cache;
   const DesignSpace space(DesignSpaceConfig::case_study(2));
   (void)make_memoized_full_model_objective(evaluator, space, 1, &cache);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace wsnex::dse {
@@ -92,6 +94,35 @@ TEST(Nsga2, RejectsDegeneratePopulation) {
   Nsga2Options opt;
   opt.population = 2;
   EXPECT_THROW(run_nsga2(space, *fn, opt), std::invalid_argument);
+}
+
+TEST(Optimizers, ThreadsAboveOneAreRefusedNamingJobs) {
+  const DesignSpace space(tiny_space_config());
+  const auto fn =
+      make_batch_adapter(space, make_full_model_objective(shared_evaluator()));
+  Nsga2Options nsga2;
+  nsga2.population = 16;
+  nsga2.generations = 2;
+  MosaOptions mosa;
+  mosa.iterations = 16;
+  // 0 and 1 both mean the calling thread.
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}}) {
+    nsga2.threads = mosa.threads = threads;
+    EXPECT_NO_THROW((void)run_nsga2(space, *fn, nsga2));
+    EXPECT_NO_THROW((void)run_mosa(space, *fn, mosa));
+  }
+  nsga2.threads = mosa.threads = 2;
+  const auto expect_refused = [](const auto& run) {
+    try {
+      (void)run();
+      ADD_FAILURE() << "threads = 2 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("jobs"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([&] { return run_nsga2(space, *fn, nsga2); });
+  expect_refused([&] { return run_mosa(space, *fn, mosa); });
 }
 
 TEST(Mosa, ProducesFeasibleFront) {
@@ -188,16 +219,12 @@ void expect_strictly_increasing(const std::vector<SnapshotRecord>& records) {
 TEST(ProgressSink, DefaultNsga2FiresOncePerGenerationAtAnyThreadCount) {
   const DesignSpace space(DesignSpaceConfig::case_study());
   const auto memo =
-      make_memoized_full_model_objective(shared_evaluator(), space, 4);
+      make_memoized_full_model_objective(shared_evaluator(), space, 1);
   Nsga2Options opt;  // default budget: 64 x (60 + 1) evaluations
-  opt.threads = 1;
   const DseResult silent = run_nsga2(space, *memo, opt);
-  std::vector<SnapshotRecord> serial, wide;
+  std::vector<SnapshotRecord> serial;
   opt.progress = recording_sink(serial);
   const DseResult observed = run_nsga2(space, *memo, opt);
-  opt.threads = 4;
-  opt.progress = recording_sink(wide);
-  (void)run_nsga2(space, *memo, opt);
 
   // stride = max(64, 3904 / 64) = 64: the start plus every generation.
   ASSERT_EQ(serial.size(), 61u);
@@ -206,7 +233,6 @@ TEST(ProgressSink, DefaultNsga2FiresOncePerGenerationAtAnyThreadCount) {
   EXPECT_EQ(serial.back().generation, 60u);
   EXPECT_EQ(serial.back().evaluations, observed.evaluations);
   expect_strictly_increasing(serial);
-  EXPECT_EQ(serial, wide);
   EXPECT_EQ(silent.evaluations, observed.evaluations);
   EXPECT_TRUE(same_entries(silent.archive, observed.archive));
 }
@@ -214,16 +240,12 @@ TEST(ProgressSink, DefaultNsga2FiresOncePerGenerationAtAnyThreadCount) {
 TEST(ProgressSink, DefaultMosaFiresOnIterationCadenceAtAnyThreadCount) {
   const DesignSpace space(DesignSpaceConfig::case_study());
   const auto memo =
-      make_memoized_full_model_objective(shared_evaluator(), space, 4);
+      make_memoized_full_model_objective(shared_evaluator(), space, 1);
   MosaOptions opt;  // default budget: 4000 iterations
-  opt.threads = 1;
   const DseResult silent = run_mosa(space, *memo, opt);
-  std::vector<SnapshotRecord> serial, wide;
+  std::vector<SnapshotRecord> serial;
   opt.progress = recording_sink(serial);
   const DseResult observed = run_mosa(space, *memo, opt);
-  opt.threads = 4;
-  opt.progress = recording_sink(wide);
-  (void)run_mosa(space, *memo, opt);
 
   // stride = max(1, 4000 / 64) = 62: iteration 0, 62, ..., 3968, 4000.
   ASSERT_EQ(serial.size(), 66u);
@@ -233,7 +255,6 @@ TEST(ProgressSink, DefaultMosaFiresOnIterationCadenceAtAnyThreadCount) {
   EXPECT_EQ(serial.back().generation, 4000u);
   EXPECT_EQ(serial.back().evaluations, observed.evaluations);
   expect_strictly_increasing(serial);
-  EXPECT_EQ(serial, wide);
   EXPECT_EQ(silent.evaluations, observed.evaluations);
   EXPECT_TRUE(same_entries(silent.archive, observed.archive));
 }

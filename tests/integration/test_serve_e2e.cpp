@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "scenario/result_store.hpp"
@@ -66,7 +67,7 @@ class ServeDaemon {
       }
       ::execl(WSNEX_BIN, WSNEX_BIN, "serve", "--port", "0", "--data",
               data_dir_.c_str(), "--port-file", port_file.c_str(), "--slots",
-              "1", "--threads", "1", static_cast<char*>(nullptr));
+              "1", static_cast<char*>(nullptr));
       _exit(127);  // exec failed
     }
 
@@ -322,13 +323,21 @@ TEST_F(ServeE2eTest, KilledDaemonsResumeToByteIdenticalResults) {
 
 /// Runs `wsnex args...` with its output discarded and returns its exit
 /// code, or -1 when it had to be killed after `timeout_s`.
-int run_wsnex(const std::vector<std::string>& args, int timeout_s) {
+/// Runs `wsnex args...` and returns its exit code (-1 on a timeout or a
+/// signal). Standard error goes to `stderr_path` when one is given.
+int run_wsnex(const std::vector<std::string>& args, int timeout_s,
+              const fs::path& stderr_path = {}) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     const int null = ::open("/dev/null", O_WRONLY);
     if (null >= 0) {
       ::dup2(null, STDOUT_FILENO);
       ::dup2(null, STDERR_FILENO);
+    }
+    if (!stderr_path.empty()) {
+      const int err =
+          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (err >= 0) ::dup2(err, STDERR_FILENO);
     }
     std::vector<char*> argv{const_cast<char*>(WSNEX_BIN)};
     for (const std::string& a : args) {
@@ -374,6 +383,25 @@ TEST_F(ServeE2eTest, VerbsRejectFlagsTheyDoNotHonour) {
   for (const std::vector<std::string>& args : cases) {
     EXPECT_EQ(run_wsnex(args, 10), 2) << args.front();
   }
+  // Each optimizer runs on one thread, so run, resume and serve reject
+  // --threads with a message naming the flag that runs independent units
+  // concurrently, before they write anything.
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      retired = {
+          {{"run", "hospital_ward_2", "--quick", "-o",
+            (root_ / "never").string(), "--threads", "2"},
+           "--jobs"},
+          {{"resume", (root_ / "never").string(), "--threads", "2"}, "--jobs"},
+          {{"serve", "--data", (root_ / "data").string(), "--threads", "2"},
+           "--slots"},
+      };
+  const fs::path err = root_ / "stderr.txt";
+  for (const auto& [args, replacement] : retired) {
+    EXPECT_EQ(run_wsnex(args, 10, err), 2) << args.front();
+    EXPECT_NE(read_file(err).find(replacement), std::string::npos)
+        << args.front() << ": " << read_file(err);
+  }
+  EXPECT_FALSE(fs::exists(root_ / "never"));
 }
 
 // A full disk under an archive fails the scenario instead of marking it

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace wsnex::model {
 namespace {
@@ -31,6 +32,22 @@ TEST(Evaluator, NominalDesignFeasible) {
   EXPECT_GT(e.energy_metric, 0.0);
   EXPECT_GT(e.prd_metric, 0.0);
   EXPECT_GT(e.delay_metric_s, 0.0);
+}
+
+TEST(Evaluator, NullOrMisKindedApplicationModelThrows) {
+  const NetworkModelEvaluator& base = shared_evaluator();
+  const auto dwt = make_shimmer_dwt_model();
+  const auto cs = make_shimmer_cs_model();
+  const auto build = [&](std::shared_ptr<const ApplicationModel> dwt_slot,
+                         std::shared_ptr<const ApplicationModel> cs_slot) {
+    return NetworkModelEvaluator(base.platform(), base.chain(),
+                                 std::move(dwt_slot), std::move(cs_slot));
+  };
+  EXPECT_NO_THROW(build(dwt, cs));
+  EXPECT_THROW(build(nullptr, cs), std::invalid_argument);
+  EXPECT_THROW(build(dwt, nullptr), std::invalid_argument);
+  EXPECT_THROW(build(cs, cs), std::invalid_argument);
+  EXPECT_THROW(build(dwt, dwt), std::invalid_argument);
 }
 
 TEST(Evaluator, DwtAtOneMegahertzInfeasible) {

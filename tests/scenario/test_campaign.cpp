@@ -20,6 +20,7 @@
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace wsnex::scenario {
@@ -170,19 +171,6 @@ TEST_F(CampaignTest, RerunOnCompleteCampaignSkipsEverything) {
   EXPECT_EQ(cross_again.skipped, 1u);
 }
 
-TEST_F(CampaignTest, ThreadsOverrideDoesNotChangeArchives) {
-  const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2")};
-  CampaignOptions one = options(dir("t1"));
-  one.threads = 1;
-  CampaignOptions four = options(dir("t4"));
-  four.threads = 4;
-  run_campaign(specs, one);
-  run_campaign(specs, four);
-  EXPECT_EQ(
-      read_file(ResultStore(dir("t1")).pareto_csv_path("hospital_ward_2")),
-      read_file(ResultStore(dir("t4")).pareto_csv_path("hospital_ward_2")));
-}
-
 TEST_F(CampaignTest, MismatchedReuseOfStoreIsRejected) {
   const auto specs = small_campaign();
   run_campaign(specs, options(dir("a")));
@@ -272,7 +260,6 @@ TEST_F(CampaignTest, JobsCapsScenariosInFlight) {
   std::atomic<int> peak{0};
   CampaignOptions o = options(dir("a"));
   o.jobs = 2;
-  o.threads = 2;
   o.post_scenario = [&](const ScenarioSpec&, const ScenarioRun&, ResultStore&,
                         util::ThreadPool*) {
     const int now = ++in_flight;
@@ -287,6 +274,79 @@ TEST_F(CampaignTest, JobsCapsScenariosInFlight) {
   EXPECT_EQ(report.executed, specs.size());
   EXPECT_LE(peak.load(), 2);
   EXPECT_GE(peak.load(), 1);
+}
+
+TEST_F(CampaignTest, PoolIsNoWiderThanTheScenariosToRun) {
+  // The campaign pool runs scenarios, so more workers than scenarios
+  // would only idle: jobs 64 over two scenarios builds at most two.
+  const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
+                                               preset("hospital_ward_3")};
+  std::atomic<std::size_t> widest{0};
+  CampaignOptions o = options(dir("a"));
+  o.jobs = 64;
+  o.post_scenario = [&](const ScenarioSpec&, const ScenarioRun&, ResultStore&,
+                        util::ThreadPool* pool) {
+    ASSERT_NE(pool, nullptr);
+    std::size_t seen = widest.load();
+    while (pool->size() > seen &&
+           !widest.compare_exchange_weak(seen, pool->size())) {
+    }
+  };
+  const CampaignReport report = run_campaign(specs, o);
+  EXPECT_TRUE(report.complete);
+  EXPECT_GE(widest.load(), 1u);
+  EXPECT_LE(widest.load(), 2u);
+}
+
+TEST_F(CampaignTest, ThreadsAboveOneIsRefusedNamingJobs) {
+  const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2")};
+  const auto expect_refused = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "threads = 2 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("jobs"), std::string::npos)
+          << e.what();
+    }
+  };
+  CampaignOptions o = options(dir("a"));
+  o.threads = 2;
+  expect_refused([&] { run_campaign(specs, o); });
+  EXPECT_FALSE(ResultStore::exists(dir("a")));  // refused before any write
+  ResultStore store(dir("b"));
+  expect_refused(
+      [&] { execute_scenario(specs[0], o, store, nullptr, nullptr); });
+  // 0 and 1 both mean the calling thread.
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}}) {
+    o = options(dir("t" + std::to_string(threads)));
+    o.threads = threads;
+    EXPECT_TRUE(run_campaign(specs, o).complete);
+  }
+}
+
+// Stores written while optimizer.threads still sized an evaluation pool
+// froze whatever value the spec carried; the field is a no-op now, so such
+// a store resumes to the archives a fresh run writes.
+TEST_F(CampaignTest, StoreWithThreadsInFrozenSpecsResumesToFreshArchives) {
+  const auto specs = small_campaign();
+  run_campaign(specs, options(dir("fresh")));
+
+  std::vector<ScenarioSpec> frozen = specs;
+  for (ScenarioSpec& spec : frozen) spec.optimizer.threads = 4;
+  CampaignOptions interrupted = options(dir("old"));
+  interrupted.abort_after = 1;
+  EXPECT_FALSE(run_campaign(frozen, interrupted).complete);
+  const ResultStore store(dir("old"));
+  EXPECT_EQ(util::Json::parse(read_file(store.spec_path(specs[1].name)))
+                .at("optimizer")
+                .at("threads")
+                .as_int64(),
+            4);
+
+  const CampaignReport resumed = resume_campaign(dir("old"));
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.executed, 2u);
+  expect_same_archives(specs, dir("fresh"), dir("old"));
 }
 
 TEST_F(CampaignTest, RejectsEmptyAndDuplicateCampaigns) {
@@ -354,10 +414,8 @@ TEST_F(CampaignTest, SharedCacheMatchesFreshCacheAcrossAllPresets) {
   // battery and optimizer axes).
   dse::SharedEvalCache cache;
   for (const ScenarioSpec& spec : all_presets()) {
-    const ScenarioRun shared =
-        run_scenario(spec, /*quick=*/true, /*threads_override=*/1, nullptr,
-                     &cache);
-    const ScenarioRun fresh = run_scenario(spec, /*quick=*/true, 1);
+    const ScenarioRun shared = run_scenario(spec, /*quick=*/true, &cache);
+    const ScenarioRun fresh = run_scenario(spec, /*quick=*/true);
     EXPECT_EQ(shared.result.evaluations, fresh.result.evaluations)
         << spec.name;
     EXPECT_EQ(shared.result.infeasible_count, fresh.result.infeasible_count)

@@ -10,8 +10,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
+#include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/failpoint.hpp"
@@ -560,6 +562,61 @@ TEST_F(SchedulerTest, FullBudgetMosaJobKeepsItsLifecycleInTheRing) {
   EXPECT_EQ(count_kind(util::events::Kind::kScenarioStarted), 1u);
   EXPECT_EQ(count_kind(util::events::Kind::kGeneration), 66u);
   EXPECT_EQ(count_kind(util::events::Kind::kJobFinished), 1u);
+}
+
+TEST_F(SchedulerTest, ThreadsAboveOneIsRefusedNamingSlots) {
+  SchedulerOptions o = options();
+  o.threads = 2;
+  try {
+    JobScheduler scheduler(o);
+    ADD_FAILURE() << "threads = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("slots"), std::string::npos)
+        << e.what();
+  }
+  // 0 and 1 both mean the slot's own thread.
+  o.threads = 0;
+  EXPECT_NO_THROW(JobScheduler{o});
+}
+
+// A client's inline spec, and so the shard's frozen spec, may still carry
+// optimizer.threads from before it became a no-op; such a job recovers
+// and completes with the archives a fresh run writes.
+TEST_F(SchedulerTest, RecoveredJobWithThreadsInItsSpecCompletes) {
+  scenario::ScenarioSpec inline_spec = scenario::preset("hospital_ward_2");
+  inline_spec.optimizer.threads = 4;
+  util::Json body = util::Json::object();
+  body.set("id", std::string("legacy"));
+  body.set("kind", std::string("campaign"));
+  body.set("quick", util::Json(true));
+  util::Json scenarios = util::Json::array();
+  scenarios.push_back(inline_spec.to_json());
+  body.set("scenarios", std::move(scenarios));
+  const JobSpec spec = JobSpec::from_json(body);
+  ASSERT_EQ(spec.scenarios.front().optimizer.threads, 4u);
+  {
+    JobScheduler first(options());
+    ASSERT_EQ(first.submit(spec).code,
+              JobScheduler::Admission::Code::kAccepted);
+    first.drain();  // never started: persisted as queued
+  }
+  JobScheduler second(options());
+  EXPECT_EQ(second.recover(), 1u);
+  second.start();
+  EXPECT_EQ(wait_terminal(second, "legacy").state, JobState::kComplete);
+
+  const fs::path shard = second.shard_dir("legacy");
+  const scenario::ResultStore store(shard.string());
+  EXPECT_EQ(store.load_spec("hospital_ward_2").optimizer.threads, 4u);
+  scenario::CampaignOptions fresh;
+  fresh.out_dir = (root_ / "fresh").string();
+  fresh.quick = true;
+  scenario::run_campaign({scenario::preset("hospital_ward_2")}, fresh);
+  const scenario::ResultStore reference(fresh.out_dir);
+  EXPECT_EQ(read_file(store.pareto_csv_path("hospital_ward_2")),
+            read_file(reference.pareto_csv_path("hospital_ward_2")));
+  EXPECT_EQ(read_file(store.feasible_csv_path("hospital_ward_2")),
+            read_file(reference.feasible_csv_path("hospital_ward_2")));
 }
 
 TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {

@@ -178,24 +178,6 @@ TEST(ThreadPool, NestedParallelForInsideParallelFor) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ResolveLayoutClampsTheProductButKeepsJobs) {
-  const std::size_t hw = ThreadPool::resolve_threads(0);
-  // jobs x threads within the machine: untouched.
-  const auto fits = ThreadPool::resolve_layout(1, 1);
-  EXPECT_EQ(fits.jobs, 1u);
-  EXPECT_EQ(fits.pool_width, 1u);
-  // Oversubscribed product: clamped to hardware concurrency...
-  const auto clamped = ThreadPool::resolve_layout(2, hw);
-  EXPECT_EQ(clamped.jobs, 2u);
-  EXPECT_EQ(clamped.pool_width, std::max<std::size_t>(2, hw));
-  // ... but an explicit jobs request keeps its scenario concurrency even
-  // on a narrower machine.
-  const auto wide = ThreadPool::resolve_layout(4 * hw, 1);
-  EXPECT_EQ(wide.pool_width, 4 * hw);
-  // jobs == 0 is treated as 1.
-  EXPECT_GE(ThreadPool::resolve_layout(0, 1).jobs, 1u);
-}
-
 TEST(ThreadPool, ReusableAcrossManyBatches) {
   ThreadPool pool(4);
   std::vector<std::size_t> out(64);

@@ -26,7 +26,7 @@ fail() { echo "FAIL: $*" >&2; failures=$((failures + 1)); }
 
 run_campaign() { # out-dir, extra args...
   local out=$1; shift
-  WSNEX_FAILPOINTS= "$BIN" run "$SCENARIO" -o "$out" --quick --threads 1 "$@"
+  WSNEX_FAILPOINTS= "$BIN" run "$SCENARIO" -o "$out" --quick "$@"
 }
 
 echo "== reference run =="
@@ -55,7 +55,7 @@ for entry in "${SITES[@]}"; do
   out="$WORK/$label"
   echo "== crash site $label ($arm) =="
 
-  WSNEX_FAILPOINTS="$arm" "$BIN" run "$SCENARIO" -o "$out" --quick --threads 1 \
+  WSNEX_FAILPOINTS="$arm" "$BIN" run "$SCENARIO" -o "$out" --quick \
     >/dev/null 2>"$WORK/$label.crash.log"
   status=$?
   if [ "$status" -ne "$CRASH_EXIT" ]; then
@@ -65,7 +65,7 @@ for entry in "${SITES[@]}"; do
 
   # Recover: resume once the manifest exists, otherwise rerun from scratch.
   if [ -f "$out/campaign.json" ]; then
-    WSNEX_FAILPOINTS= "$BIN" resume "$out" --threads 1 >/dev/null \
+    WSNEX_FAILPOINTS= "$BIN" resume "$out" >/dev/null \
       || { fail "$label: resume failed"; continue; }
   else
     run_campaign "$out" >/dev/null \
@@ -85,7 +85,7 @@ CACHE="$WORK/prd_cache"
 # Cold run with the cache write torn at 128 bytes: the campaign must still
 # succeed (the tear is silent) with reference-identical archives.
 WSNEX_FAILPOINTS="prd_cache.write=torn@128" \
-  "$BIN" run "$SCENARIO" -o "$WORK/torn_cold" --quick --threads 1 \
+  "$BIN" run "$SCENARIO" -o "$WORK/torn_cold" --quick \
   --cache-dir "$CACHE" >/dev/null \
   || fail "torn-cache cold run failed"
 torn_size=$(wc -c <"$CACHE/prd_calibration.json" 2>/dev/null || echo 0)

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "scenario/registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wsnex::cli {
 
@@ -54,6 +54,9 @@ CommonFlags parse_flags(const std::vector<std::string>& args,
                         const char* command,
                         std::initializer_list<std::string_view> accepted) {
   CommonFlags flags;
+  const auto accepts = [&](std::string_view flag) {
+    return std::find(accepted.begin(), accepted.end(), flag) != accepted.end();
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a.empty() || a[0] != '-') {
@@ -61,8 +64,19 @@ CommonFlags parse_flags(const std::vector<std::string>& args,
       continue;
     }
     const std::string flag = a == "--out" ? "-o" : a == "-p" ? "--port" : a;
-    if (std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+    if (!accepts(flag)) {
       std::fprintf(stderr, "%s: unsupported option: %s\n", command, a.c_str());
+      if (flag == "--threads" && (accepts("--jobs") || accepts("--slots"))) {
+        // Name the flag that spreads this command over threads instead.
+        const bool slots = accepts("--slots");
+        std::fprintf(stderr,
+                     "%s: each optimizer runs on one thread; %s N sets how "
+                     "many %s run at once\n",
+                     command, slots ? "--slots" : "--jobs",
+                     slots                                  ? "job units"
+                     : std::string_view(command) == "validate" ? "replicates"
+                                                               : "scenarios");
+      }
       flags.ok = false;
       continue;
     }
@@ -113,13 +127,10 @@ CommonFlags parse_flags(const std::vector<std::string>& args,
           flags.ok = false;
         }
       }
-    } else if (flag == "--threads") {
-      flags.threads = count();
     } else if (flag == "--jobs") {
-      // --jobs 0 means "one per hardware thread", like --threads 0.
+      // --jobs 0 means "one per hardware thread".
       if (const auto n = count()) {
-        flags.jobs = std::max<std::size_t>(
-            *n == 0 ? std::thread::hardware_concurrency() : *n, 1);
+        flags.jobs = util::ThreadPool::resolve_threads(*n);
       }
     } else if (flag == "--abort-after") {
       flags.abort_after = count().value_or(0);

@@ -26,8 +26,9 @@ struct CommonFlags {
   bool convergence = false;
   bool no_progress = false;
   bool quick = false;
-  std::optional<std::size_t> threads;
-  std::size_t jobs = 1;
+  /// Unset means the command's default: `run`/`resume` use the hardware
+  /// concurrency, `validate` 1. `--jobs 0` is the hardware concurrency.
+  std::optional<std::size_t> jobs;
   std::size_t abort_after = 0;
   bool validate = false;
   /// Unset means "the command's default" — standalone validate and the

@@ -26,7 +26,7 @@
 // and `wsnex run examples/scenarios/hospital_ward_6.json` are equivalent.
 //
 // Campaigns are deterministic: a fixed spec (seed included) reproduces
-// bit-identical archives regardless of --threads, `wsnex resume` after a
+// bit-identical archives regardless of --jobs, `wsnex resume` after a
 // kill completes a campaign to the same bytes an uninterrupted run
 // produces, and `wsnex validate` emits byte-identical
 // validation.json/validation.csv regardless of --jobs (counter-derived
@@ -52,6 +52,7 @@
 #include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 #include "validate/validation.hpp"
 
@@ -75,10 +76,10 @@ int usage(std::FILE* to) {
                "  wsnex list [--json]\n"
                "  wsnex check <spec.json|preset>...\n"
                "  wsnex run <spec.json|preset>... -o DIR [--quick] "
-               "[--threads N] [--jobs N] [--cache-dir DIR] "
+               "[--jobs N] [--cache-dir DIR] "
                "[--abort-after N] [--validate] [--no-progress] "
                "[--trace PATH]\n"
-               "  wsnex resume DIR [--threads N] [--jobs N] "
+               "  wsnex resume DIR [--jobs N] "
                "[--cache-dir DIR] [--abort-after N] [--validate] "
                "[--no-progress] [--trace PATH]\n"
                "  wsnex report DIR [--metrics | --convergence]\n"
@@ -90,7 +91,7 @@ int usage(std::FILE* to) {
                "[--replicates N] [--jobs J]\n"
                "                 [--tolerance PCT] [--duration S] [--seed N] "
                "[--cache-dir DIR]\n"
-               "  wsnex serve --data DIR [--port N] [--slots N] [--threads N] "
+               "  wsnex serve --data DIR [--port N] [--slots N] "
                "[--max-queued N]\n"
                "              [--cache-dir DIR] [--port-file PATH] "
                "[--access-log]\n"
@@ -111,13 +112,16 @@ int usage(std::FILE* to) {
                "spec files)\n"
                "      --quick       smoke-test budgets (16x8 NSGA-II / 256 "
                "evaluations)\n"
-               "      --threads N   worker threads (0 = hardware concurrency; "
-               "never changes results)\n"
-               "      --jobs N      concurrent scenarios / validation "
-               "replicates on one shared\n"
-               "                    pool (clamped against hardware "
-               "concurrency; never changes\n"
-               "                    result files)\n"
+               "      --jobs N      scenarios (run/resume; default: hardware "
+               "concurrency) or\n"
+               "                    validation replicates (validate; default "
+               "1) run at once,\n"
+               "                    each on one thread (0 = hardware "
+               "concurrency; never\n"
+               "                    changes result files)\n"
+               "      --slots N     serve: job units run at once, each on "
+               "one thread (0 =\n"
+               "                    hardware concurrency)\n"
                "      --cache-dir DIR  on-disk warm cache: skips the codec "
                "calibration cold\n"
                "                    start on repeated runs (bit-identical "
@@ -172,7 +176,7 @@ int usage(std::FILE* to) {
                "passed.\n"
                "`wsnex serve` runs campaigns and validations as a local "
                "HTTP/JSON service:\n"
-               "concurrent jobs share one evaluation pool with "
+               "concurrent jobs share --slots worker threads with "
                "priority-weighted fairness,\n"
                "SIGTERM drains and checkpoints, and a restarted daemon "
                "resumes interrupted jobs.\n");
@@ -360,8 +364,8 @@ validate::CampaignValidation campaign_validation(const CommonFlags& flags) {
 int cmd_run(const std::vector<std::string>& args) {
   const CommonFlags flags = parse_flags(
       args, "run",
-      {"-o", "--quick", "--threads", "--jobs", "--cache-dir", "--abort-after",
-       "--validate", "--no-progress", "--trace", "--replicates", "--duration",
+      {"-o", "--quick", "--jobs", "--cache-dir", "--abort-after", "--validate",
+       "--no-progress", "--trace", "--replicates", "--duration",
        "--tolerance"});
   if (!flags.ok || !hook_knobs_need_validate(flags, "run")) return 2;
   if (flags.positional.empty()) {
@@ -379,9 +383,8 @@ int cmd_run(const std::vector<std::string>& args) {
   scenario::CampaignOptions options;
   options.out_dir = flags.out_dir;
   options.quick = flags.quick;
-  options.threads = flags.threads;
   options.abort_after = flags.abort_after;
-  options.jobs = flags.jobs;
+  options.jobs = flags.jobs.value_or(util::ThreadPool::resolve_threads(0));
   options.cache_dir = flags.cache_dir;
   options.progress = !flags.no_progress;
   if (flags.validate) {
@@ -399,9 +402,8 @@ int cmd_run(const std::vector<std::string>& args) {
 int cmd_resume(const std::vector<std::string>& args) {
   const CommonFlags flags = parse_flags(
       args, "resume",
-      {"--threads", "--jobs", "--cache-dir", "--abort-after", "--validate",
-       "--no-progress", "--trace", "--replicates", "--duration",
-       "--tolerance"});
+      {"--jobs", "--cache-dir", "--abort-after", "--validate", "--no-progress",
+       "--trace", "--replicates", "--duration", "--tolerance"});
   if (!flags.ok || !hook_knobs_need_validate(flags, "resume")) return 2;
   if (flags.positional.size() != 1) {
     std::fprintf(stderr, "resume: exactly one campaign directory expected\n");
@@ -409,9 +411,8 @@ int cmd_resume(const std::vector<std::string>& args) {
   }
   const std::string& out_dir = flags.positional.front();
   scenario::ResumeOverrides overrides;
-  overrides.threads = flags.threads;
   overrides.abort_after = flags.abort_after;
-  overrides.jobs = flags.jobs;
+  overrides.jobs = flags.jobs.value_or(util::ThreadPool::resolve_threads(0));
   overrides.cache_dir = flags.cache_dir;
   overrides.progress = !flags.no_progress;
   if (flags.validate) {
@@ -547,7 +548,7 @@ int cmd_validate(const std::vector<std::string>& args) {
     const scenario::ScenarioSpec spec = load_spec_arg(arg);
     validate::ValidationOptions options;
     options.plan.replicates = flags.replicates.value_or(16);
-    options.plan.jobs = flags.jobs;
+    options.plan.jobs = flags.jobs.value_or(1);
     options.plan.duration_s = flags.duration_s.value_or(120.0);
     options.plan.base_seed = flags.seed.value_or(1);
     options.tolerance_percent =

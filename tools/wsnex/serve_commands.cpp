@@ -65,8 +65,8 @@ void print_progress_row(util::Table& table, const util::Json& job) {
 int cmd_serve(const std::vector<std::string>& args) {
   const CommonFlags flags = parse_flags(
       args, "serve",
-      {"--data", "--port", "--slots", "--threads", "--max-queued",
-       "--cache-dir", "--port-file", "--access-log"});
+      {"--data", "--port", "--slots", "--max-queued", "--cache-dir",
+       "--port-file", "--access-log"});
   if (!flags.ok) return 2;
   if (flags.data_dir.empty()) {
     std::fprintf(stderr, "serve: --data DIR is required\n");
@@ -84,7 +84,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   serve::SchedulerOptions scheduler_options;
   scheduler_options.data_dir = flags.data_dir;
   scheduler_options.slots = flags.slots;
-  scheduler_options.threads = flags.threads.value_or(1);
   scheduler_options.max_queued_jobs = flags.max_queued;
   scheduler_options.cache_dir = flags.cache_dir;
 
