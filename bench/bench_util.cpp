@@ -60,11 +60,6 @@ util::Json provenance() {
   out.set("forced_scalar_env", util::simd::scalar_forced_by_env());
   out.set("hardware_threads",
           static_cast<std::size_t>(std::thread::hardware_concurrency()));
-#if defined(WSNEX_METRICS_DISABLED)
-  out.set("metrics_compiled", false);
-#else
-  out.set("metrics_compiled", true);
-#endif
   return out;
 }
 

@@ -45,8 +45,8 @@ bool emit_json(const util::Json& json, const std::string& path);
 
 /// Machine provenance every committed BENCH_*.json carries so a number can
 /// be traced to the configuration that produced it: detected vs. active
-/// SIMD ISA, the WSNEX_FORCE_SCALAR gate state, hardware thread count,
-/// and whether the metrics mutators were compiled in (WSNEX_METRICS).
+/// SIMD ISA, the WSNEX_FORCE_SCALAR gate state and the hardware thread
+/// count.
 util::Json provenance();
 
 /// fprintf-style mirror of provenance() for the drivers that hand-format

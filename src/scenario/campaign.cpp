@@ -32,9 +32,8 @@ namespace wsnex::scenario {
 
 namespace {
 
-/// Wall-clock split of one execute_scenario call. Always measured — the
-/// cost is four clock reads per scenario — so summary.json carries the
-/// same schema whether or not the metrics build gate is on.
+/// Wall-clock split of one execute_scenario call: four clock reads per
+/// scenario, recorded in summary.json's perf block.
 struct ScenarioPerf {
   double evaluate_s = 0.0;  ///< run_scenario (DSE + decode)
   double lifetime_s = 0.0;  ///< feasibility + lifetime recompute
@@ -276,7 +275,7 @@ dse::Objectives hv_reference_point(const ScenarioSpec& spec) {
 
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
-                                ResultStore& store, util::ThreadPool* pool,
+                                ResultStore& store, std::nullptr_t,
                                 dse::SharedEvalCache* cache) {
   require_calling_thread(options);
   util::trace::Span scenario_span("scenario", spec.name);
@@ -339,7 +338,7 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                       make_summary(spec, run, feasible, lifetime_days, perf));
   if (options.post_scenario) {
     util::trace::Span span("hook");
-    options.post_scenario(spec, run, store, pool);
+    options.post_scenario(spec, run, store);
   }
   static auto& executed = scenario_counter("outcome=\"executed\"");
   static auto& seconds = scenario_seconds();
@@ -365,14 +364,14 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
 
 namespace {
 
-/// Runs the campaign on one pool of min(jobs, scenarios to run) lanes:
-/// each lane claims the next spec index until the outcome prefix is
-/// exhausted and runs that scenario on its own thread, so at most `jobs`
-/// scenarios are in flight and, at jobs 1, the specs run in order on the
-/// calling thread. The post-scenario hook may fan out on the same
-/// (reentrant) pool. Result files do not depend on the lane count: each
-/// scenario is individually deterministic and the archives are written in
-/// canonical order; only the order of progress reports differs.
+/// Runs the campaign on min(jobs, scenarios to run) lanes: each lane
+/// claims the next spec index until the outcome prefix is exhausted and
+/// runs that scenario, post-scenario hook included, on its own thread, so
+/// at most `jobs` scenarios are in flight and, at jobs 1, the specs run in
+/// order on the calling thread. Result files do not depend on the lane
+/// count: each scenario is individually deterministic and the archives
+/// are written in canonical order; only the order of progress reports
+/// differs.
 CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                               const CampaignOptions& options,
                               ResultStore& store,
@@ -401,15 +400,15 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
   // No more lanes than scenarios to run, and at least the calling thread.
   const std::size_t lanes =
       std::max<std::size_t>(1, std::min(options.jobs, pending));
-  util::ThreadPool pool(lanes);
   CampaignReport report;
   std::vector<CampaignOutcome> outcomes(cutoff);
   std::mutex mutex;  // guards the manifest, `report` and `progress`
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  pool.run_tasks(lanes, [&](std::size_t) {
+  util::run_parallel(lanes, [&](std::size_t) {
     // After a failure no lane starts another scenario; in-flight ones
-    // finish and persist, and run_tasks rethrows once every lane is done.
+    // finish and persist, and run_parallel rethrows once every lane is
+    // done.
     while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= cutoff) return;
@@ -427,7 +426,7 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
       }
       try {
         outcome.status =
-            execute_scenario(specs[i], options, store, &pool, &cache);
+            execute_scenario(specs[i], options, store, nullptr, &cache);
         const std::lock_guard<std::mutex> lock(mutex);
         store.record_complete(outcome.status);
         ++report.executed;

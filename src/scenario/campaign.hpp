@@ -13,15 +13,15 @@
 // both assert this). Only the summary/manifest wallclock fields differ
 // between runs.
 //
-// Scheduling: scenarios are the unit of parallelism. One util::ThreadPool
-// of min(jobs, scenarios to run) workers runs that many lanes, each
-// claiming the next scenario in spec order and running its optimizer on
-// the lane's own thread, so at most `jobs` scenarios are in flight. The
-// pool stays reentrant for the post-scenario hook: `--validate` fans its
-// replicates out on it. At jobs 1 the scenarios run in spec order on the
-// calling thread.
+// Scheduling: scenarios are the unit of parallelism and the campaign's
+// only parallel level. util::run_parallel runs min(jobs, scenarios to
+// run) lanes, each claiming the next scenario in spec order and running
+// its optimizer and post-scenario hook on the lane's own thread, so at
+// most `jobs` scenarios are in flight. At jobs 1 the scenarios run in
+// spec order on the calling thread.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
@@ -33,7 +33,6 @@
 #include "scenario/scenario_spec.hpp"
 
 namespace wsnex::util {
-class ThreadPool;
 namespace events {
 class EventRing;
 }
@@ -96,12 +95,9 @@ util::metrics::Histogram& scenario_seconds_histogram();
 /// pending, so resume re-runs scenario + hook and reproduces both. The
 /// validate subsystem installs its Monte Carlo validator here
 /// (`wsnex run --validate`); the scenario layer itself stays independent
-/// of the modules above it. `pool` is the campaign pool execute_scenario
-/// was given (null when a caller passes none); hooks may fan subtasks out
-/// on it.
+/// of the modules above it. The hook runs on the scenario's own thread.
 using PostScenarioHook = std::function<void(
-    const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store,
-    util::ThreadPool* pool)>;
+    const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store)>;
 
 /// Campaign execution options.
 struct CampaignOptions {
@@ -118,8 +114,8 @@ struct CampaignOptions {
   /// a resume can pick them up. 0 = no limit.
   std::size_t abort_after = 0;
   /// Maximum scenarios in flight (`wsnex run --jobs N`); 0 and 1 run them
-  /// in spec order on the calling thread. The campaign pool is
-  /// min(jobs, scenarios to run) wide. Never changes result files — only
+  /// in spec order on the calling thread. The campaign runs
+  /// min(jobs, scenarios to run) lanes. Never changes result files — only
   /// wall-clock and the order progress is reported in.
   std::size_t jobs = 1;
   /// On-disk warm-cache directory (`wsnex run --cache-dir DIR`): the
@@ -158,11 +154,12 @@ struct CampaignOptions {
 /// safe to publish. This is the shared unit of work of the campaign
 /// driver and the `wsnex serve` job scheduler: both run many of these
 /// concurrently, each on its own thread and followed by its own
-/// record_complete. The optimizer runs on the calling thread; `pool` only
-/// reaches the post_scenario hook (null = none).
+/// record_complete. The optimizer and the post_scenario hook run on the
+/// calling thread. The fourth parameter carries nothing: it keeps the
+/// call shape of callers that passed a pool there; pass nullptr.
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
-                                ResultStore& store, util::ThreadPool* pool,
+                                ResultStore& store, std::nullptr_t,
                                 dse::SharedEvalCache* cache);
 
 /// What happened to one scenario during a campaign invocation.

@@ -15,6 +15,7 @@
 #include "util/logging.hpp"
 #include "util/socket.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 #include "validate/validation.hpp"
 
@@ -125,8 +126,8 @@ util::Json JobProgress::to_json() const {
   for (const std::string& name : scenarios) names.push_back(name);
   json.set("scenarios", std::move(names));
   // Process-wide unit-duration quantiles (the wsnex_scenario_seconds
-  // histogram, bucket-interpolated). Omitted while the histogram is empty
-  // — before the first campaign unit lands, and in metrics-off builds.
+  // histogram, bucket-interpolated). Omitted while the histogram is empty,
+  // before the first campaign unit lands.
   const util::metrics::Histogram& durations =
       scenario::scenario_seconds_histogram();
   const double p50 = util::metrics::histogram_quantile(durations, 0.50);
@@ -144,7 +145,6 @@ util::Json JobProgress::to_json() const {
 
 JobScheduler::JobScheduler(SchedulerOptions options)
     : options_(std::move(options)),
-      pool_(options_.slots),
       cache_(dse::SharedEvalCache::instance()) {
   if (options_.data_dir.empty()) {
     throw ServeError("scheduler: data_dir must be set");
@@ -154,7 +154,7 @@ JobScheduler::JobScheduler(SchedulerOptions options)
         "scheduler: threads must be 0 or 1 (each unit runs on one "
         "thread); use slots to run units concurrently");
   }
-  options_.slots = pool_.size();
+  options_.slots = util::resolve_threads(options_.slots);
   if (options_.max_queued_jobs == 0) options_.max_queued_jobs = 1;
   if (options_.max_priority == 0) options_.max_priority = 1;
   if (!options_.cache_dir.empty() &&
@@ -251,28 +251,35 @@ JobScheduler::Admission JobScheduler::submit_impl(
     return admission;
   }
 
-  std::lock_guard<std::mutex> lk(mutex_);
-  if (stopping_) {
-    admission.code = Admission::Code::kStopping;
-    admission.message = "service is shutting down";
-    return admission;
-  }
-  if (!spec.id.empty() && jobs_.count(spec.id) != 0) {
-    admission.code = Admission::Code::kDuplicate;
-    admission.message = "job \"" + spec.id + "\" already exists";
-    return admission;
-  }
-  if (active_jobs_locked() >= options_.max_queued_jobs) {
-    admission.code = Admission::Code::kQueueFull;
-    admission.message =
-        "job queue full (" + std::to_string(options_.max_queued_jobs) +
-        " non-terminal jobs); retry after one finishes";
-    return admission;
-  }
-  if (spec.id.empty()) {
-    do {
-      spec.id = "job-" + std::to_string(++next_auto_id_);
-    } while (jobs_.count(spec.id) != 0);
+  // Submits run one at a time, so the verdict of the check below (id
+  // free, queue not full) still holds when the job is published; the
+  // scheduler lock is not held across the fsync'd shard writes between
+  // the two, so status, results and workers never wait for them.
+  std::lock_guard<std::mutex> submit_lock(submit_mutex_);
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (stopping_) {
+      admission.code = Admission::Code::kStopping;
+      admission.message = "service is shutting down";
+      return admission;
+    }
+    if (!spec.id.empty() && jobs_.count(spec.id) != 0) {
+      admission.code = Admission::Code::kDuplicate;
+      admission.message = "job \"" + spec.id + "\" already exists";
+      return admission;
+    }
+    if (active_jobs_locked() >= options_.max_queued_jobs) {
+      admission.code = Admission::Code::kQueueFull;
+      admission.message =
+          "job queue full (" + std::to_string(options_.max_queued_jobs) +
+          " non-terminal jobs); retry after one finishes";
+      return admission;
+    }
+    if (spec.id.empty()) {
+      do {
+        spec.id = "job-" + std::to_string(++next_auto_id_);
+      } while (jobs_.count(spec.id) != 0);
+    }
   }
 
   const std::string id = spec.id;
@@ -316,9 +323,14 @@ JobScheduler::Admission JobScheduler::submit_impl(
         Kind::kCacheDegraded, id, "",
         "prd cache dir ignored: calibration already computed in-process"));
   }
-  wrr_.add(id, job->spec.priority);
-  jobs_[id] = std::move(job);
-  active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
+  {
+    // A drain that began meanwhile leaves the job queued: job.json is on
+    // disk, so the next daemon's recover() runs it.
+    std::lock_guard<std::mutex> lk(mutex_);
+    wrr_.add(id, job->spec.priority);
+    jobs_[id] = std::move(job);
+    active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
+  }
   cv_.notify_all();
   admission.code = Admission::Code::kAccepted;
   admission.id = id;
@@ -348,6 +360,7 @@ std::size_t JobScheduler::recover() {
   std::sort(shards.begin(), shards.end());
 
   std::size_t requeued = 0;
+  std::lock_guard<std::mutex> submit_lock(submit_mutex_);
   std::lock_guard<std::mutex> lk(mutex_);
   for (const fs::path& shard : shards) {
     if (shard.filename().string().ends_with(".quarantined")) continue;
@@ -502,31 +515,37 @@ std::shared_ptr<util::events::EventRing> JobScheduler::events(
 }
 
 std::optional<util::Json> JobScheduler::results(const std::string& id) const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  Job& job = *it->second;
-
+  Job* job = nullptr;
+  JobKind kind = JobKind::kCampaign;
   util::Json out = util::Json::object();
-  out.set("id", job.spec.id);
-  out.set("kind", to_string(job.spec.kind));
-  out.set("state", to_string(job.state));
-  if (!job.error.empty()) out.set("error", job.error);
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return std::nullopt;
+    job = it->second.get();
+    kind = job->spec.kind;
+    out.set("id", job->spec.id);
+    out.set("kind", to_string(kind));
+    out.set("state", to_string(job->state));
+    if (!job->error.empty()) out.set("error", job->error);
+  }
 
+  // The disk is read under the job's io_mutex alone. Jobs are never
+  // erased, so `job` and its store stay valid without the scheduler lock.
   util::Json scenarios = util::Json::array();
-  std::lock_guard<std::mutex> io(job.io_mutex);
+  std::lock_guard<std::mutex> io(job->io_mutex);
   try {
-    const scenario::CampaignManifest manifest = job.store->load_manifest();
+    const scenario::CampaignManifest manifest = job->store->load_manifest();
     for (const scenario::ScenarioStatus& status : manifest.scenarios) {
       util::Json entry = util::Json::object();
       entry.set("name", status.name);
       entry.set("complete", status.complete);
       if (status.complete) {
-        if (job.spec.kind == JobKind::kCampaign) {
-          entry.set("summary", job.store->load_summary(status.name));
+        if (kind == JobKind::kCampaign) {
+          entry.set("summary", job->store->load_summary(status.name));
         }
-        if (job.store->has_validation(status.name)) {
-          entry.set("validation", job.store->load_validation(status.name));
+        if (job->store->has_validation(status.name)) {
+          entry.set("validation", job->store->load_validation(status.name));
         }
       }
       scenarios.push_back(std::move(entry));
@@ -774,9 +793,8 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
       vopts.plan.replicates = job.spec.validation.replicates;
       vopts.plan.duration_s = job.spec.validation.duration_s;
       vopts.plan.base_seed = job.spec.validation.base_seed;
-      vopts.plan.jobs = 1;  // replicates fan out on the shared pool instead
+      vopts.plan.jobs = 1;  // the slots are the daemon's parallel level
       vopts.tolerance_percent = job.spec.validation.tolerance_percent;
-      vopts.pool = &pool_;
       const validate::ValidationReport report =
           validate::run_validation(spec, vopts);
       std::lock_guard<std::mutex> io(job.io_mutex);

@@ -7,17 +7,17 @@
 // of `slots` scheduler workers claims units one at a time through a
 // WeightedRoundRobin allocator: while several jobs have pending units, a
 // priority-w job is granted w units for every one a priority-1 job gets,
-// so a big batch cannot starve a small interactive one. A campaign unit's
-// optimizer runs on its slot's thread; a validation unit's replicates fan
-// out on one util::ThreadPool of `slots` workers that all validation
-// units share (the slot's thread helps with its own). All jobs share the
-// process-wide dse::SharedEvalCache plus the on-disk PRD calibration
-// cache — every job after the first runs warm.
+// so a big batch cannot starve a small interactive one. The slots are the
+// daemon's only parallel level: a campaign unit's optimizer and a
+// validation unit's replicates run on the slot's own thread. All jobs
+// share the process-wide dse::SharedEvalCache plus the on-disk PRD
+// calibration cache — every job after the first runs warm.
 //
 // Fault model:
 //  * admission control — max_queued_jobs non-terminal jobs; excess
 //    submissions are rejected (the server maps that to 429), never queued
-//    unboundedly;
+//    unboundedly. Submits are serialized on their own mutex, and the
+//    scheduler lock is not held across their fsync'd shard writes;
 //  * cancel is cooperative and idempotent — pending units are dropped,
 //    in-flight units finish and persist, a second cancel (or a cancel
 //    racing completion) just reports the settled state;
@@ -58,7 +58,6 @@
 #include "scenario/result_store.hpp"
 #include "serve/job.hpp"
 #include "util/events.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wsnex::serve {
 
@@ -94,8 +93,8 @@ class WeightedRoundRobin {
 struct SchedulerOptions {
   /// Daemon state root; jobs live under <data_dir>/jobs/<shard>/.
   std::string data_dir;
-  /// Concurrent units (scheduler workers), and the width of the pool
-  /// validation replicates share. 0 = hardware concurrency.
+  /// Concurrent units (scheduler workers, started by start()).
+  /// 0 = hardware concurrency.
   std::size_t slots = 0;
   /// 0 or 1: each unit runs on its slot's thread. Any larger value throws
   /// std::invalid_argument naming `slots`.
@@ -228,7 +227,8 @@ class JobScheduler {
         std::make_shared<util::events::EventRing>(1024);
     std::unique_ptr<scenario::ResultStore> store;
     /// Serializes this job's store writes (manifest record_complete,
-    /// validation artifacts) and job.json rewrites across workers.
+    /// validation artifacts) and job.json rewrites across workers, and
+    /// results() reads against them.
     std::mutex io_mutex;
   };
 
@@ -255,8 +255,11 @@ class JobScheduler {
   std::size_t active_jobs_locked() const;
 
   SchedulerOptions options_;
-  util::ThreadPool pool_;
   dse::SharedEvalCache& cache_;
+
+  /// Serializes submit() and recover(): the only paths that add jobs.
+  /// Taken before mutex_, never while holding it.
+  std::mutex submit_mutex_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

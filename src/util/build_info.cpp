@@ -14,11 +14,6 @@ BuildInfo build_info() {
   BuildInfo info;
   info.version = WSNEX_BUILD_VERSION;
   info.active_isa = simd::isa_name(simd::active_isa());
-#if defined(WSNEX_METRICS_DISABLED)
-  info.metrics = false;
-#else
-  info.metrics = true;
-#endif
   info.failpoints = failpoint::compiled_in();
   return info;
 }
@@ -28,7 +23,6 @@ Json build_info_json() {
   Json obj = Json::object();
   obj.set("version", Json(info.version));
   obj.set("active_isa", Json(info.active_isa));
-  obj.set("metrics", Json(info.metrics));
   obj.set("failpoints", Json(info.failpoints));
   return obj;
 }
@@ -37,8 +31,7 @@ void register_build_info_metric() {
   const BuildInfo info = build_info();
   const std::string labels =
       "version=\"" + info.version + "\",isa=\"" + info.active_isa +
-      "\",metrics=\"" + (info.metrics ? "on" : "off") + "\",failpoints=\"" +
-      (info.failpoints ? "on" : "off") + "\"";
+      "\",failpoints=\"" + (info.failpoints ? "on" : "off") + "\"";
   metrics::Registry::instance()
       .gauge("wsnex_build_info",
              "Build facts of the running binary (value is always 1)", labels)

@@ -2,7 +2,8 @@
 
 /// \file build_info.hpp
 /// Self-description of the running binary: version, active SIMD ISA and
-/// which compile-time observability subsystems are present. Exposed two ways so scrapes and artifacts carry the same facts:
+/// whether the fault-injection registry is compiled in. Exposed two ways
+/// so scrapes and artifacts carry the same facts:
 /// as a `wsnex_build_info` gauge on /metrics (value 1, facts in labels) and
 /// as a JSON block embedded in each summary.json perf section.
 
@@ -15,7 +16,6 @@ namespace wsnex::util {
 struct BuildInfo {
   std::string version;        ///< Project version (or "unknown").
   std::string active_isa;     ///< SIMD ISA selected at startup (simd.hpp).
-  bool metrics = false;       ///< Metrics registry compiled in.
   bool failpoints = false;    ///< Fault-injection registry compiled in.
 };
 
@@ -24,7 +24,7 @@ struct BuildInfo {
 /// overrides have been applied.
 BuildInfo build_info();
 
-/// The same facts as a JSON object (keys: version, active_isa, metrics,
+/// The same facts as a JSON object (keys: version, active_isa,
 /// failpoints).
 Json build_info_json();
 

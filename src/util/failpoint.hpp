@@ -1,9 +1,9 @@
 // Compile-time-optional fault injection (`-DWSNEX_FAILPOINTS=ON`): a
 // registry of named failure sites the persist, cache and socket layers
 // evaluate at the exact points where real systems fail. The default build
-// compiles every evaluation to an inline no-op (the same pattern as
-// WSNEX_METRICS), so production binaries carry zero overhead and are
-// byte-identical in behavior to a failpoints build with nothing armed.
+// compiles every evaluation to an inline no-op, so production binaries
+// carry zero overhead and are byte-identical in behavior to a failpoints
+// build with nothing armed.
 //
 // Sites are armed through the WSNEX_FAILPOINTS environment variable (or
 // configure() in tests):

@@ -10,11 +10,10 @@
 //    and may allocate; increments never do.
 //  * Out-of-band only. No instrument feeds back into engine decisions, so
 //    campaign archives are byte-identical whether or not anything scrapes.
-//  * Build-time no-op variant. Configuring with -DWSNEX_METRICS=OFF
-//    defines WSNEX_METRICS_DISABLED on wsnex_util (PUBLIC, so every TU
-//    agrees on one definition) and the mutators compile to empty inline
-//    functions. The registry and serializers stay available — a stripped
-//    build still answers GET /metrics, just with zeros.
+//  * Coarse update sites only. Instruments count scenarios, jobs, units,
+//    HTTP requests, shared-cache lookups and fan-out calls — never single
+//    evaluations, simulated events or replicates — so they stay on in
+//    every build.
 //
 // Values are double throughout: integer counts stay exact below 2^53 and
 // the same instrument type can accumulate seconds (busy time, latency
@@ -50,30 +49,21 @@ inline void atomic_add(std::atomic<double>& target, double delta) {
 /// and are silently dropped (never throws on the hot path).
 class Counter {
  public:
-#if defined(WSNEX_METRICS_DISABLED)
-  void inc(double delta = 1.0) { (void)delta; }
-#else
   void inc(double delta = 1.0) {
     if (delta < 0.0) return;
     detail::atomic_add(value_, delta);
   }
-#endif
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
 };
 
-/// Instantaneous value that can move both ways (queue depths, active jobs).
+/// Instantaneous value that can move both ways (active jobs).
 class Gauge {
  public:
-#if defined(WSNEX_METRICS_DISABLED)
-  void set(double value) { (void)value; }
-  void add(double delta) { (void)delta; }
-#else
   void set(double value) { value_.store(value, std::memory_order_relaxed); }
   void add(double delta) { detail::atomic_add(value_, delta); }
-#endif
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -86,9 +76,6 @@ class Gauge {
 /// into Prometheus' cumulative form at exposition time.
 class Histogram {
  public:
-#if defined(WSNEX_METRICS_DISABLED)
-  void observe(double value) { (void)value; }
-#else
   void observe(double value) {
     std::size_t index = bounds_.size();
     for (std::size_t i = 0; i < bounds_.size(); ++i) {
@@ -101,7 +88,6 @@ class Histogram {
     detail::atomic_add(sum_, value);
     count_.fetch_add(1, std::memory_order_relaxed);
   }
-#endif
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Non-cumulative count of bucket `i`; i == bounds().size() is +Inf.
@@ -122,7 +108,7 @@ class Histogram {
 };
 
 /// Wall-clock latency edges in seconds: 100µs .. 10s, roughly 1-2.5-5 per
-/// decade. Shared by the thread-pool, scenario and serve histograms so
+/// decade. Shared by the fan-out, scenario and serve histograms so
 /// dashboards can overlay them.
 std::vector<double> default_latency_bounds();
 

@@ -244,22 +244,24 @@ ValidationReport run_validation(const scenario::ScenarioSpec& spec,
   }
 
   // Replicates: counter-derived seeds, results placed by index, so the
-  // aggregation below is independent of the worker count.
+  // aggregation below is independent of the worker count. Each worker
+  // runs one contiguous chunk, and no worker gets an empty one.
   std::vector<ReplicateMetrics> reps(plan.replicates);
-  const auto run_replicate = [&](std::size_t r, std::size_t /*worker*/) {
-    sim::NetworkScenario sc = low.sim;
-    sc.duration_s = plan.duration_s;
-    sc.seed = ReplicationPlan::replicate_seed(plan.base_seed, r);
-    const sim::NetworkResult result = sim::run_network(sc);
-    reps[r] = extract_metrics(result, plan.duration_s, spec.theta,
-                              evaluator.platform(), base_activity);
-  };
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(0, plan.replicates, run_replicate);
-  } else {
-    util::ThreadPool pool(plan.jobs);
-    pool.parallel_for(0, plan.replicates, run_replicate);
-  }
+  const std::size_t jobs =
+      std::min(util::resolve_threads(plan.jobs), plan.replicates);
+  const std::size_t chunk = (plan.replicates + jobs - 1) / jobs;
+  const std::size_t workers = (plan.replicates + chunk - 1) / chunk;
+  util::run_parallel(workers, [&](std::size_t worker) {
+    const std::size_t end = std::min(plan.replicates, (worker + 1) * chunk);
+    for (std::size_t r = worker * chunk; r < end; ++r) {
+      sim::NetworkScenario sc = low.sim;
+      sc.duration_s = plan.duration_s;
+      sc.seed = ReplicationPlan::replicate_seed(plan.base_seed, r);
+      const sim::NetworkResult result = sim::run_network(sc);
+      reps[r] = extract_metrics(result, plan.duration_s, spec.theta,
+                                evaluator.platform(), base_activity);
+    }
+  });
 
   ValidationReport report;
   report.scenario = spec.name;
@@ -505,17 +507,15 @@ scenario::PostScenarioHook make_campaign_validation_hook(
     const CampaignValidation& options) {
   return [options](const scenario::ScenarioSpec& spec,
                    const scenario::ScenarioRun& run,
-                   scenario::ResultStore& store, util::ThreadPool* pool) {
+                   scenario::ResultStore& store) {
     ValidationOptions vopts;
     vopts.plan.replicates = options.replicates;
-    // Honor the campaign's concurrency budget: replicates interleave on
-    // the campaign pool; without one they run inline instead of silently
-    // fanning out to every core.
+    // The campaign's lanes already cover --jobs: replicates run on this
+    // lane's thread instead of fanning out to every core.
     vopts.plan.jobs = 1;
     vopts.plan.duration_s = options.duration_s;
     vopts.plan.base_seed = spec.optimizer.seed;
     vopts.tolerance_percent = options.tolerance_percent;
-    vopts.pool = pool;
     const std::vector<std::size_t> feasible =
         scenario::feasible_entries(run.result.archive, spec.constraints);
     if (!feasible.empty()) {

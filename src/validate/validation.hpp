@@ -3,7 +3,8 @@
 //
 // A validation run replays one scenario's design point in the packet
 // simulator N independent times (a ReplicationPlan with counter-derived
-// per-replicate seeds, fanned out on util::ThreadPool), aggregates every
+// per-replicate seeds, split into contiguous chunks that
+// util::run_parallel runs on plan.jobs threads), aggregates every
 // metric across replicates with Student-t confidence intervals, and
 // scores the analytical model's predictions against the simulated ground
 // truth: MAPE + CI-overlap verdicts for point predictions (per-node
@@ -27,10 +28,6 @@
 #include "scenario/result_store.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "validate/lowering.hpp"
-
-namespace wsnex::util {
-class ThreadPool;
-}
 
 namespace wsnex::validate {
 
@@ -94,10 +91,6 @@ struct ValidationOptions {
   /// Design point to validate; defaults to reference_design(spec). A
   /// campaign passes the best feasible archive entry here.
   std::optional<model::NetworkDesign> design;
-  /// External pool (campaign mode): replicates fan out as subtasks on the
-  /// shared campaign pool instead of a run-private one. Never changes the
-  /// report.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// The full outcome of one validation run.
@@ -156,10 +149,10 @@ struct CampaignValidation {
 /// each completed scenario at its best feasible archive design (falling
 /// back to the reference design when nothing is feasible) and persists
 /// validation.json/validation.csv next to its archives. Replicate seeds
-/// derive from the spec's optimizer seed, and replicates fan out on the
-/// campaign pool the hook is handed (min(--jobs, scenarios to run) wide;
-/// null runs them inline), so the files are deterministic for a fixed
-/// campaign regardless of --jobs.
+/// derive from the spec's optimizer seed, and the replicates run one after
+/// another on the scenario's lane (the campaign's parallel level is its
+/// scenarios), so the files are deterministic for a fixed campaign
+/// regardless of --jobs.
 scenario::PostScenarioHook make_campaign_validation_hook(
     const CampaignValidation& options = {});
 

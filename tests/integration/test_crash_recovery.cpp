@@ -187,13 +187,8 @@ TEST_F(CrashRecoveryTest, PrdCacheFaultsDegradeToInMemoryRecompute) {
   expect_curves_eq(ref, dsp::load_or_calibrate_default_prd_curves(dir("c2")));
   fp::reset();
 
-#if !defined(WSNEX_METRICS_DISABLED)
   EXPECT_GE(degraded_reads.value(), reads_before + 2.0);
   EXPECT_GE(degraded_writes.value(), writes_before + 1.0);
-#else
-  (void)reads_before;
-  (void)writes_before;
-#endif
 }
 
 }  // namespace

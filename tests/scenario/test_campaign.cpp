@@ -20,7 +20,7 @@
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace wsnex::scenario {
@@ -233,7 +233,7 @@ TEST_F(CampaignTest, FailingScenarioStopsTheCampaignAndStaysPending) {
     CampaignOptions o = options(out);
     o.jobs = jobs;
     o.post_scenario = [&](const ScenarioSpec& spec, const ScenarioRun&,
-                          ResultStore&, util::ThreadPool*) {
+                          ResultStore&) {
       ++hook_calls;
       if (spec.name == specs[1].name) throw std::runtime_error("injected");
     };
@@ -260,8 +260,8 @@ TEST_F(CampaignTest, JobsCapsScenariosInFlight) {
   std::atomic<int> peak{0};
   CampaignOptions o = options(dir("a"));
   o.jobs = 2;
-  o.post_scenario = [&](const ScenarioSpec&, const ScenarioRun&, ResultStore&,
-                        util::ThreadPool*) {
+  o.post_scenario = [&](const ScenarioSpec&, const ScenarioRun&,
+                        ResultStore&) {
     const int now = ++in_flight;
     int seen = peak.load();
     while (now > seen && !peak.compare_exchange_weak(seen, now)) {
@@ -277,25 +277,21 @@ TEST_F(CampaignTest, JobsCapsScenariosInFlight) {
 }
 
 TEST_F(CampaignTest, PoolIsNoWiderThanTheScenariosToRun) {
-  // The campaign pool runs scenarios, so more workers than scenarios
-  // would only idle: jobs 64 over two scenarios builds at most two.
+  // Lanes run scenarios, so more lanes than scenarios would only idle:
+  // jobs 64 over two scenarios fans out exactly two (64 if the lane
+  // count ignored the scenarios to run).
   const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
                                                preset("hospital_ward_3")};
-  std::atomic<std::size_t> widest{0};
+  // Looked up by name; the help text of the first registration is kept.
+  const util::metrics::Counter& items =
+      util::metrics::Registry::instance().counter(
+          "wsnex_threadpool_items_total", "");
+  const double before = items.value();
   CampaignOptions o = options(dir("a"));
   o.jobs = 64;
-  o.post_scenario = [&](const ScenarioSpec&, const ScenarioRun&, ResultStore&,
-                        util::ThreadPool* pool) {
-    ASSERT_NE(pool, nullptr);
-    std::size_t seen = widest.load();
-    while (pool->size() > seen &&
-           !widest.compare_exchange_weak(seen, pool->size())) {
-    }
-  };
   const CampaignReport report = run_campaign(specs, o);
   EXPECT_TRUE(report.complete);
-  EXPECT_GE(widest.load(), 1u);
-  EXPECT_LE(widest.load(), 2u);
+  EXPECT_EQ(items.value() - before, 2.0);
 }
 
 TEST_F(CampaignTest, ThreadsAboveOneIsRefusedNamingJobs) {

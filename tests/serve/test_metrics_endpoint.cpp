@@ -146,8 +146,6 @@ TEST_F(MetricsEndpointTest, OnlyGetIsAllowed) {
   server.stop();
 }
 
-#if !defined(WSNEX_METRICS_DISABLED)
-
 TEST_F(MetricsEndpointTest, CountersAdvanceAcrossSubmitToComplete) {
   JobScheduler scheduler(scheduler_options());
   scheduler.start();
@@ -181,7 +179,7 @@ TEST_F(MetricsEndpointTest, CountersAdvanceAcrossSubmitToComplete) {
                 after, "wsnex_serve_units_total{outcome=\"completed\"}"),
             (units_before < 0 ? 0 : units_before) + 1);
   EXPECT_EQ(sample_value(after, "wsnex_serve_active_jobs"), 0.0);
-  // The worker drained the job through the shared thread pool.
+  // The validation unit fanned its replicates out through run_parallel.
   EXPECT_GE(sample_value(after, "wsnex_threadpool_groups_total"), 1.0);
 
   // Rejections are labeled, not lost: a duplicate id bumps "duplicate".
@@ -216,8 +214,6 @@ TEST_F(MetricsEndpointTest, HttpCountersAreMonotoneAcrossScrapes) {
 
   server.stop();
 }
-
-#endif  // !WSNEX_METRICS_DISABLED
 
 }  // namespace
 }  // namespace wsnex::serve

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -617,6 +618,66 @@ TEST_F(SchedulerTest, RecoveredJobWithThreadsInItsSpecCompletes) {
             read_file(reference.pareto_csv_path("hospital_ward_2")));
   EXPECT_EQ(read_file(store.feasible_csv_path("hospital_ward_2")),
             read_file(reference.feasible_csv_path("hospital_ward_2")));
+}
+
+// Threads of this process, or nullopt where /proc/self/task is absent.
+std::optional<std::size_t> process_threads() {
+  std::error_code ec;
+  fs::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  std::size_t count = 0;
+  for (; it != fs::directory_iterator(); it.increment(ec)) ++count;
+  return count;
+}
+
+TEST_F(SchedulerTest, ConstructionStartsNoThread) {
+  const std::optional<std::size_t> before = process_threads();
+  if (!before) GTEST_SKIP() << "/proc/self/task is not available";
+  JobScheduler scheduler(options(/*slots=*/4));
+  EXPECT_EQ(process_threads(), before);
+  scheduler.start();  // 4 slot workers and the deadline watchdog
+  EXPECT_EQ(process_threads(), *before + 5);
+}
+
+// A submit stalled in its fsync'd job.json write holds no lock that
+// status, list or results of another job need.
+TEST_F(SchedulerTest, StalledSubmitDoesNotBlockReaders) {
+  if (!util::failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  }
+  FailpointGuard guard;
+  util::failpoint::configure("serve.job_record=sleep(500)#2");
+  JobScheduler scheduler(options());  // never started: nothing else runs
+  ASSERT_EQ(scheduler.submit(validation_job("first", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  std::thread second([&] {
+    EXPECT_EQ(scheduler.submit(validation_job("second", {"hospital_ward_2"}))
+                  .code,
+              JobScheduler::Admission::Code::kAccepted);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (util::failpoint::hits("serve.job_record") < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(util::failpoint::hits("serve.job_record"), 2u);
+  const auto elapsed_ms = [](const auto& call) {
+    const auto start = std::chrono::steady_clock::now();
+    call();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  EXPECT_LT(elapsed_ms([&] { EXPECT_TRUE(scheduler.status("first")); }),
+            250.0);
+  EXPECT_LT(elapsed_ms([&] { EXPECT_FALSE(scheduler.list().empty()); }),
+            250.0);
+  EXPECT_LT(elapsed_ms([&] { EXPECT_TRUE(scheduler.results("first")); }),
+            250.0);
+  second.join();
+  EXPECT_EQ(scheduler.total_jobs(), 2u);
 }
 
 TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {

@@ -22,8 +22,6 @@ bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
-#if !defined(WSNEX_METRICS_DISABLED)
-
 TEST(Counter, AccumulatesAndDropsNegativeDeltas) {
   Registry registry;
   Counter& c = registry.counter("events_total", "Events.");
@@ -206,8 +204,6 @@ TEST(RegistryTest, HammeredFromManyThreadsWhileScraping) {
   EXPECT_EQ(histogram.count(),
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
-
-#endif  // !WSNEX_METRICS_DISABLED
 
 TEST(RegistryTest, TypeMismatchThrows) {
   Registry registry;

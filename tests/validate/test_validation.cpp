@@ -11,7 +11,6 @@
 
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
-#include "util/thread_pool.hpp"
 #include "validate/validation.hpp"
 
 namespace wsnex::validate {
@@ -159,11 +158,10 @@ TEST(RunValidation, ReportIsByteIdenticalAcrossWorkerCounts) {
   const std::string a = run_validation(spec, serial).to_json().dump(2);
   const std::string b = run_validation(spec, wide).to_json().dump(2);
   EXPECT_EQ(a, b);
-  // And on an externally shared pool (the campaign path).
-  util::ThreadPool pool(3);
-  ValidationOptions pooled = quick_options();
-  pooled.pool = &pool;
-  EXPECT_EQ(run_validation(spec, pooled).to_json().dump(2), a);
+  // More workers than replicates: one replicate per worker.
+  ValidationOptions wider = quick_options();
+  wider.plan.jobs = wider.plan.replicates + 3;
+  EXPECT_EQ(run_validation(spec, wider).to_json().dump(2), a);
 }
 
 TEST(RunValidation, LossyChannelDemotesBoundAndJudgesGeometricRetries) {

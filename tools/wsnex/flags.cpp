@@ -130,7 +130,7 @@ CommonFlags parse_flags(const std::vector<std::string>& args,
     } else if (flag == "--jobs") {
       // --jobs 0 means "one per hardware thread".
       if (const auto n = count()) {
-        flags.jobs = util::ThreadPool::resolve_threads(*n);
+        flags.jobs = util::resolve_threads(*n);
       }
     } else if (flag == "--abort-after") {
       flags.abort_after = count().value_or(0);

@@ -384,7 +384,7 @@ int cmd_run(const std::vector<std::string>& args) {
   options.out_dir = flags.out_dir;
   options.quick = flags.quick;
   options.abort_after = flags.abort_after;
-  options.jobs = flags.jobs.value_or(util::ThreadPool::resolve_threads(0));
+  options.jobs = flags.jobs.value_or(util::resolve_threads(0));
   options.cache_dir = flags.cache_dir;
   options.progress = !flags.no_progress;
   if (flags.validate) {
@@ -412,7 +412,7 @@ int cmd_resume(const std::vector<std::string>& args) {
   const std::string& out_dir = flags.positional.front();
   scenario::ResumeOverrides overrides;
   overrides.abort_after = flags.abort_after;
-  overrides.jobs = flags.jobs.value_or(util::ThreadPool::resolve_threads(0));
+  overrides.jobs = flags.jobs.value_or(util::resolve_threads(0));
   overrides.cache_dir = flags.cache_dir;
   overrides.progress = !flags.no_progress;
   if (flags.validate) {
