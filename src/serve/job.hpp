@@ -65,9 +65,9 @@ struct JobSpec {
   /// at admission.
   std::string id;
   JobKind kind = JobKind::kCampaign;
-  /// Weighted-round-robin weight, clamped to [1, max_priority]: a
-  /// priority-2 job is granted two scenario slots for every one a
-  /// priority-1 job gets while both have work pending.
+  /// Weighted-round-robin weight, clamped to [1, 16]: a priority-2 job
+  /// is granted two scenario slots for every one a priority-1 job gets
+  /// while both have work pending.
   std::size_t priority = 1;
   bool quick = false;  ///< campaign jobs: smoke-test optimizer budgets
   /// Wall-clock budget in seconds from the moment the job starts running

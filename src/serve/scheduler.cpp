@@ -63,6 +63,16 @@ util::metrics::Counter& deadline_counter() {
 using util::events::Kind;
 using util::events::make_event;
 
+/// Priority clamp; submissions above it are lowered, not rejected.
+constexpr std::size_t kMaxPriority = 16;
+/// Retries per unit for *transient* errors (I/O, socket) before the job
+/// fails. Bad inputs (ScenarioError et al.) never retry.
+constexpr std::size_t kUnitRetries = 1;
+/// Deadline-watchdog poll period. Jobs also check their deadline at every
+/// unit completion, so tiny deadlines fail deterministically even with a
+/// coarse watchdog.
+constexpr std::chrono::milliseconds kWatchdogInterval{250};
+
 }  // namespace
 
 // --- WeightedRoundRobin ----------------------------------------------------
@@ -156,7 +166,6 @@ JobScheduler::JobScheduler(SchedulerOptions options)
   }
   options_.slots = util::resolve_threads(options_.slots);
   if (options_.max_queued_jobs == 0) options_.max_queued_jobs = 1;
-  if (options_.max_priority == 0) options_.max_priority = 1;
   if (!options_.cache_dir.empty() &&
       !dsp::set_default_prd_cache_dir(options_.cache_dir)) {
     cache_dir_degraded_ = true;
@@ -238,8 +247,7 @@ JobScheduler::Admission JobScheduler::submit_impl(
       return admission;
     }
   }
-  spec.priority = std::clamp<std::size_t>(spec.priority, 1,
-                                          options_.max_priority);
+  spec.priority = std::clamp<std::size_t>(spec.priority, 1, kMaxPriority);
   // An unusable id is invalid whatever the queue looks like; check it
   // before the transient rejections so the client's 400 vs 429 is stable.
   if (!spec.id.empty() &&
@@ -380,8 +388,8 @@ std::size_t JobScheduler::recover() {
       auto job = std::make_unique<Job>();
       job->spec.id = record.id;
       job->spec.kind = record.kind;
-      job->spec.priority = std::clamp<std::size_t>(record.priority, 1,
-                                                   options_.max_priority);
+      job->spec.priority =
+          std::clamp<std::size_t>(record.priority, 1, kMaxPriority);
       job->spec.quick = record.quick;
       job->spec.deadline_s = record.deadline_s;
       job->spec.validation = record.validation;
@@ -492,18 +500,26 @@ std::vector<JobProgress> JobScheduler::list() const {
 }
 
 std::optional<JobProgress> JobScheduler::cancel(const std::string& id) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  Job& job = *it->second;
-  if (!is_terminal(job.state) && !job.cancel_requested) {
-    job.cancel_requested = true;
-    wrr_.remove(id);
-    if (const std::optional<JobRecord> record = maybe_finalize(job)) {
-      persist_record(job, *record);
+  Job* job = nullptr;
+  std::optional<JobRecord> record;
+  JobProgress progress;
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return std::nullopt;
+    job = it->second.get();
+    if (!is_terminal(job->state) && !job->cancel_requested) {
+      job->cancel_requested = true;
+      wrr_.remove(id);
+      record = maybe_finalize(*job);
     }
+    progress = progress_of(*job);
   }
-  return progress_of(job);
+  // Written outside the scheduler lock, as the workers do. Jobs are never
+  // erased, so `job` stays valid; a job finalized here had no unit in
+  // flight, so no earlier job.json write of it can still be pending.
+  if (record) persist_record(*job, *record);
+  return progress;
 }
 
 std::shared_ptr<util::events::EventRing> JobScheduler::events(
@@ -692,14 +708,14 @@ void JobScheduler::worker_loop() {
           make_event(Kind::kUnitFinished, id, job.unit_names[unit], ""));
     } else if (outcome.transient && !job.fail_requested &&
                !job.cancel_requested && !is_terminal(job.state) &&
-               job.attempts[unit] < options_.unit_retries) {
+               job.attempts[unit] < kUnitRetries) {
       // Transient environment failure: give the unit back to the WRR for
       // a bounded number of fresh grants instead of failing the job.
       ++job.attempts[unit];
       job.claimed[unit] = false;
       WSNEX_WARN() << "serve: unit " << id << ":" << job.unit_names[unit]
                    << " hit a transient error (attempt "
-                   << job.attempts[unit] << "/" << options_.unit_retries
+                   << job.attempts[unit] << "/" << kUnitRetries
                    << "): " << outcome.error;
       unit_retries_counter().inc();
       job.events->publish(make_event(Kind::kUnitRetried, id,
@@ -727,9 +743,7 @@ void JobScheduler::worker_loop() {
 void JobScheduler::watchdog_loop() {
   std::unique_lock<std::mutex> lk(mutex_);
   while (!stopping_) {
-    cv_.wait_for(lk,
-                 std::chrono::duration<double>(options_.watchdog_interval_s),
-                 [this] { return stopping_; });
+    cv_.wait_for(lk, kWatchdogInterval, [this] { return stopping_; });
     if (stopping_) return;
     const double now = util::now_s();
     std::vector<std::pair<Job*, JobRecord>> expired;

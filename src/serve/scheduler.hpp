@@ -25,7 +25,7 @@
 //    other jobs are untouched (per-job isolation);
 //  * a unit failing with a *transient* error (util::FileError /
 //    util::SocketError — the environment, not the inputs) is re-queued
-//    and retried up to unit_retries times before failing the job;
+//    and retried once before failing the job;
 //  * a job with deadline_s > 0 is failed once its wall-clock budget runs
 //    out — at the next unit completion, or by the watchdog thread when a
 //    unit is stuck (cooperative preemption: the stuck unit's eventual
@@ -101,18 +101,9 @@ struct SchedulerOptions {
   std::size_t threads = 0;
   /// Admission ceiling: maximum non-terminal (queued + running) jobs.
   std::size_t max_queued_jobs = 64;
-  /// Priority clamp; submissions above it are lowered, not rejected.
-  std::size_t max_priority = 16;
   /// On-disk PRD calibration cache directory ("" = none): makes daemon
   /// *restarts* warm, not just jobs after the first.
   std::string cache_dir;
-  /// Retries per unit for *transient* errors (I/O, socket) before the
-  /// job fails. Bad inputs (ScenarioError et al.) never retry.
-  std::size_t unit_retries = 1;
-  /// Deadline-watchdog poll period. Jobs also check their deadline at
-  /// every unit completion, so tiny deadlines fail deterministically
-  /// even with a coarse watchdog.
-  double watchdog_interval_s = 0.25;
 };
 
 /// Status snapshot of one job (what GET /v1/jobs/<id> serves).
@@ -184,7 +175,8 @@ class JobScheduler {
   /// The job's event ring (lifecycle, unit progress, convergence
   /// snapshots); nullptr when the id is unknown. The ring is shared-
   /// owned: it stays valid (and terminal events stay readable) for the
-  /// scheduler's lifetime, and readers never block publishers.
+  /// scheduler's lifetime. A reader and a publisher wait for each other
+  /// only while one of them copies events under the ring's lock.
   std::shared_ptr<util::events::EventRing> events(const std::string& id) const;
 
   /// SIGTERM path; see the file comment. Idempotent.
@@ -222,7 +214,9 @@ class JobScheduler {
     bool fail_requested = false;
     /// Bounded per-job event ring (job/unit lifecycle + convergence
     /// snapshots published by the campaign layer). Readers that fall
-    /// behind lose the oldest events, never block writers.
+    /// behind lose the oldest events, never block writers; convergence
+    /// snapshots wrap apart from lifecycle events, so they never evict
+    /// one.
     std::shared_ptr<util::events::EventRing> events =
         std::make_shared<util::events::EventRing>(1024);
     std::unique_ptr<scenario::ResultStore> store;

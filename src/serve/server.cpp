@@ -13,6 +13,13 @@ namespace wsnex::serve {
 
 namespace {
 
+/// Sized so a couple of long-polling events watchers (GET .../events with
+/// ?wait=) cannot starve the control plane.
+constexpr std::size_t kHandlerThreads = 4;
+/// Accepted-but-unhandled connection bound; beyond it new connections are
+/// answered 503 immediately.
+constexpr std::size_t kMaxPendingConnections = 16;
+
 util::HttpResponse json_response(int status, const util::Json& body) {
   return util::HttpResponse(status, body.dump() + "\n");
 }
@@ -182,10 +189,6 @@ util::HttpResponse error_response(int status, const std::string& message) {
 
 HttpServer::HttpServer(JobScheduler& scheduler, ServerOptions options)
     : scheduler_(scheduler), options_(std::move(options)) {
-  if (options_.handler_threads == 0) options_.handler_threads = 1;
-  if (options_.max_pending_connections == 0) {
-    options_.max_pending_connections = 1;
-  }
   listener_ = util::TcpListener::listen_loopback(options_.port);
 }
 
@@ -196,8 +199,8 @@ void HttpServer::start() {
   if (started_ || stopping_) return;
   started_ = true;
   acceptor_ = std::thread([this] { accept_loop(); });
-  handlers_.reserve(options_.handler_threads);
-  for (std::size_t i = 0; i < options_.handler_threads; ++i) {
+  handlers_.reserve(kHandlerThreads);
+  for (std::size_t i = 0; i < kHandlerThreads; ++i) {
     handlers_.emplace_back([this] { handler_loop(); });
   }
 }
@@ -250,7 +253,7 @@ void HttpServer::accept_loop() {
           *stream, error_response(503, "service is shutting down"));
       return;
     }
-    if (pending_.size() >= options_.max_pending_connections) {
+    if (pending_.size() >= kMaxPendingConnections) {
       stream->set_timeout_ms(options_.limits.io_timeout_ms);
       util::write_http_response(
           *stream,

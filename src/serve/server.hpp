@@ -49,12 +49,6 @@ namespace wsnex::serve {
 struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 = kernel-assigned ephemeral port
   util::HttpLimits limits;
-  /// Sized so a couple of long-polling events watchers (GET .../events
-  /// with ?wait=) cannot starve the control plane.
-  std::size_t handler_threads = 4;
-  /// Accepted-but-unhandled connection bound; beyond it new connections
-  /// are answered 503 immediately.
-  std::size_t max_pending_connections = 16;
   /// One structured line per handled request (request id, method, route,
   /// status, response bytes, duration), emitted through util::logging at
   /// INFO — callers enabling this should make sure the log level admits

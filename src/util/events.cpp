@@ -13,8 +13,6 @@ namespace wsnex::util::events {
 
 namespace {
 
-constexpr std::size_t kWords = (sizeof(Event) + 7) / 8;
-
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -112,159 +110,79 @@ std::string events_to_jsonl(const std::vector<Event>& batch) {
 EventRing::EventRing(std::size_t capacity)
     : mask_(round_up_pow2(std::max<std::size_t>(capacity, 2)) - 1),
       segment_slots_(std::min(mask_ + 1, kSegmentSlots)),
-      segments_((mask_ + 1) / segment_slots_),
       epoch_(std::chrono::steady_clock::now()) {
-  for (std::atomic<Slot*>& segment : segments_) {
-    segment.store(nullptr, std::memory_order_relaxed);
-  }
+  generations_.segments.resize((mask_ + 1) / segment_slots_);
+  lifecycle_.segments.resize((mask_ + 1) / segment_slots_);
 }
 
-EventRing::~EventRing() {
-  for (std::atomic<Slot*>& segment : segments_) {
-    delete[] segment.load(std::memory_order_relaxed);
-  }
-}
-
-EventRing::Slot& EventRing::slot_for_write(std::uint64_t seq) {
-  const std::size_t index = (seq - 1) & mask_;
-  std::atomic<Slot*>& segment = segments_[index / segment_slots_];
-  Slot* slots = segment.load(std::memory_order_acquire);
-  if (slots == nullptr) {
-    // First publish into this segment. Writers that race here each build
-    // a zeroed segment; one installs it, the others free theirs and use
-    // the installed one (the failed exchange loads it into `slots`).
-    auto fresh = std::make_unique<Slot[]>(segment_slots_);
-    if (segment.compare_exchange_strong(slots, fresh.get(),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      slots = fresh.release();
-    }
-  }
-  return slots[index % segment_slots_];
-}
-
-const EventRing::Slot* EventRing::slot_for_read(std::uint64_t seq) const {
-  const std::size_t index = (seq - 1) & mask_;
-  const Slot* slots =
-      segments_[index / segment_slots_].load(std::memory_order_acquire);
-  return slots == nullptr ? nullptr : slots + index % segment_slots_;
+const Event& EventRing::slot(const Lane& lane, std::uint64_t index) const {
+  const std::size_t at = index & mask_;
+  return lane.segments[at / segment_slots_][at % segment_slots_];
 }
 
 std::uint64_t EventRing::publish(Event event) {
-  const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
-  event.seq = seq;
-  event.time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_)
-          .count();
-
-  std::uint64_t raw[kWords] = {};
-  std::memcpy(raw, &event, sizeof(Event));
-
-  Slot& slot = slot_for_write(seq);
-  // Seqlock write: odd stamp, release fence, payload words, even stamp.
-  // The release fence guarantees that a reader who observes any payload word
-  // from this publish also observes the odd stamp on its recheck.
-  slot.stamp.store(2 * seq - 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::size_t i = 0; i < kWords; ++i) {
-    slot.words[i].store(raw[i], std::memory_order_relaxed);
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    seq = ++last_;
+    event.seq = seq;
+    event.time_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - epoch_)
+                       .count();
+    Lane& lane =
+        event.kind == Kind::kGeneration ? generations_ : lifecycle_;
+    const std::size_t at = lane.published++ & mask_;
+    std::unique_ptr<Event[]>& segment = lane.segments[at / segment_slots_];
+    if (segment == nullptr) {
+      segment = std::make_unique<Event[]>(segment_slots_);
+    }
+    segment[at % segment_slots_] = event;
   }
-  slot.stamp.store(2 * seq, std::memory_order_release);
-
-  if (waiters_.load(std::memory_order_relaxed) > 0) {
-    std::lock_guard<std::mutex> guard(wait_mutex_);
-    wait_cv_.notify_all();
-  }
+  published_.notify_all();
   return seq;
 }
 
 std::uint64_t EventRing::read_since(std::uint64_t since, std::vector<Event>& out,
                                     std::uint64_t* dropped) const {
   if (dropped != nullptr) *dropped = 0;
-  const std::uint64_t last = next_.load(std::memory_order_acquire);
-  if (last <= since) return since;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (since >= last_) return since;
 
-  // Oldest sequence that can still be resident. Anything older was
-  // overwritten by ring wrap and counts as dropped for this reader.
-  const std::uint64_t oldest = last > capacity() ? last - capacity() + 1 : 1;
-  std::uint64_t first = since + 1;
-  if (first < oldest) {
-    if (dropped != nullptr) *dropped += oldest - first;
-    first = oldest;
+  // Each lane holds its newest events in sequence order: walk back from
+  // its newest to the first one after `since`, then merge the two runs.
+  const auto first_after = [&](const Lane& lane) {
+    const std::uint64_t oldest =
+        lane.published > capacity() ? lane.published - capacity() : 0;
+    std::uint64_t first = lane.published;
+    while (first > oldest && slot(lane, first - 1).seq > since) --first;
+    return first;
+  };
+  std::uint64_t g = first_after(generations_);
+  std::uint64_t l = first_after(lifecycle_);
+  const std::uint64_t delivered =
+      (generations_.published - g) + (lifecycle_.published - l);
+  while (g < generations_.published || l < lifecycle_.published) {
+    const bool generation =
+        l == lifecycle_.published ||
+        (g < generations_.published &&
+         slot(generations_, g).seq < slot(lifecycle_, l).seq);
+    out.push_back(generation ? slot(generations_, g++)
+                             : slot(lifecycle_, l++));
   }
-
-  for (std::uint64_t seq = first; seq <= last; ++seq) {
-    const Slot* slot = slot_for_read(seq);
-    const std::uint64_t s1 =
-        slot == nullptr ? 0 : slot->stamp.load(std::memory_order_acquire);
-    if (s1 < 2 * seq) {
-      // Claimed by publish() but not written yet (its segment may not
-      // even exist): stop before it, so the next read resumes at this
-      // sequence instead of skipping it.
-      return seq - 1;
-    }
-    if (s1 > 2 * seq) {
-      // Lapped by a later writer: this sequence is gone for good.
-      if (dropped != nullptr) ++*dropped;
-      continue;
-    }
-    std::uint64_t raw[kWords];
-    for (std::size_t i = 0; i < kWords; ++i) {
-      raw[i] = slot->words[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t s2 = slot->stamp.load(std::memory_order_relaxed);
-    if (s2 != 2 * seq) {
-      if (dropped != nullptr) ++*dropped;
-      continue;
-    }
-    Event e;
-    std::memcpy(&e, raw, sizeof(Event));
-    out.push_back(e);
-  }
-  return last;
+  if (dropped != nullptr) *dropped = last_ - since - delivered;
+  return last_;
 }
 
 std::uint64_t EventRing::last_seq() const {
-  return next_.load(std::memory_order_acquire);
-}
-
-std::uint64_t EventRing::overwritten() const {
-  const std::uint64_t last = next_.load(std::memory_order_acquire);
-  return last > capacity() ? last - capacity() : 0;
-}
-
-bool EventRing::published_after(std::uint64_t since) const {
-  if (next_.load(std::memory_order_acquire) <= since) return false;
-  // The slot of sequence since + 1 carries a stamp of at least 2*(since+1)
-  // once that event is written (or a later one has lapped it).
-  const Slot* slot = slot_for_read(since + 1);
-  return slot != nullptr &&
-         slot->stamp.load(std::memory_order_acquire) >= 2 * (since + 1);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return last_;
 }
 
 bool EventRing::wait_for(std::uint64_t since, double timeout_s) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0, timeout_s)));
-  std::unique_lock<std::mutex> lock(wait_mutex_);
-  waiters_.fetch_add(1, std::memory_order_relaxed);
-  bool ready = false;
-  while (true) {
-    ready = published_after(since);
-    if (ready) break;
-    // Bounded slices so a publish that raced the waiter registration is
-    // picked up on the next predicate check even without a notification.
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    const auto slice =
-        std::min<std::chrono::steady_clock::duration>(
-            deadline - now, std::chrono::milliseconds(50));
-    wait_cv_.wait_for(lock, slice);
-  }
-  waiters_.fetch_sub(1, std::memory_order_relaxed);
-  return ready;
+  std::unique_lock<std::mutex> lock(mutex_);
+  return published_.wait_for(
+      lock, std::chrono::duration<double>(std::max(0.0, timeout_s)),
+      [&] { return last_ > since; });
 }
 
 }  // namespace wsnex::util::events

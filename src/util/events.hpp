@@ -1,27 +1,26 @@
 #pragma once
 
 /// \file events.hpp
-/// Bounded lock-free ring of structured telemetry events.
+/// Bounded ring of structured telemetry events.
 ///
 /// The ring is a broadcast buffer: writers publish fixed-size POD events and
 /// receive a globally monotone sequence number; readers poll with a cursor
-/// (`read_since`) and never block writers. When the ring wraps, the oldest
-/// events are overwritten — readers that fell behind observe a gap and the
-/// per-read `dropped` count tells them how many events they missed, so
-/// backpressure degrades to loss-with-accounting instead of blocking the
-/// optimization hot path.
+/// (`read_since`). When the ring wraps, the oldest events are overwritten —
+/// readers that fell behind observe a gap and the per-read `dropped` count
+/// tells them how many events they missed, so backpressure degrades to
+/// loss-with-accounting instead of blocking the optimization hot path.
+/// `generation` snapshots and every other kind wrap in separate lanes, so
+/// progress chatter never overwrites a lifecycle event.
 ///
-/// Concurrency: each slot is guarded by a seqlock-style version stamp and the
-/// payload is stored as relaxed atomic words, so concurrent publish/read is
-/// free of data races (sanitizer-clean) without any mutex on the publish path.
-/// Publishing is wait-free apart from a best-effort waiter notification and,
-/// once per segment of slots, the allocation of that segment.
+/// Concurrency: one mutex guards the ring. A publish copies its event in
+/// and a read copies events out under it; waiters park on one condition
+/// variable that every publish notifies.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -69,7 +68,8 @@ struct Event {
 };
 
 static_assert(std::is_trivially_copyable_v<Event>,
-              "Event must stay POD: the ring copies it word-wise");
+              "Event must stay POD: ring slots hold it by value and copy it "
+              "without allocating");
 
 /// Builds an event with the string fields copied (and truncated if needed).
 Event make_event(Kind kind, std::string_view job, std::string_view scenario,
@@ -89,20 +89,22 @@ void append_event_json(std::string& out, const Event& event);
 std::string events_to_jsonl(const std::vector<Event>& batch);
 
 /// Bounded multi-writer / multi-reader broadcast ring. Capacity is rounded up
-/// to a power of two. Thread-safe; publish never blocks on readers.
+/// to a power of two. Thread-safe.
 ///
-/// Slots are allocated in segments of kSegmentSlots, each on the first
-/// publish that lands in it, so a ring holds memory for the events it has
-/// carried rather than for its capacity: the 1024-slot ring of a serve
-/// campaign job (68-73 events) holds three segments (~29 KiB), not ~304 KiB.
-/// Once the ring has wrapped, every segment exists and publish allocates no
-/// more.
+/// The ring has two lanes, one for `kGeneration` and one for every other
+/// kind, and each keeps the newest `capacity()` events of its kinds: a job
+/// that floods its stream with progress snapshots loses the oldest
+/// snapshots, never a lifecycle event. Each lane allocates its slots in
+/// segments of kSegmentSlots, each on the first publish that lands in it,
+/// so a ring holds memory for the events it has carried rather than for its
+/// capacity: the 1024-slot ring of a serve campaign job (68-73 events)
+/// holds three or four segments (~28-37 KiB), not ~592 KiB. Once both
+/// lanes have wrapped, publish allocates no more.
 class EventRing {
  public:
   static constexpr std::size_t kSegmentSlots = 32;
 
   explicit EventRing(std::size_t capacity = 1024);
-  ~EventRing();
   EventRing(const EventRing&) = delete;
   EventRing& operator=(const EventRing&) = delete;
 
@@ -111,56 +113,43 @@ class EventRing {
   std::uint64_t publish(Event event);
 
   /// Appends to `out` every retained event with sequence > `since`, in
-  /// ascending sequence order, stopping before the first sequence that a
-  /// writer has claimed but not finished writing. `*dropped` (when
-  /// provided) is set to the number of events this call skipped because
-  /// they were overwritten by ring wrap or torn by a lapping writer.
-  /// Returns the new cursor: the sequence up to which events were
-  /// delivered or dropped (`since` if nothing newer is readable yet), so
-  /// feeding it back as `since` never skips an event.
+  /// ascending sequence order. `*dropped` (when provided) is set to the
+  /// number of events after `since` that this call skipped because ring
+  /// wrap overwrote them. Returns the new cursor: the last published
+  /// sequence (`since` if nothing newer exists), so feeding it back as
+  /// `since` never skips an event.
   std::uint64_t read_since(std::uint64_t since, std::vector<Event>& out,
                            std::uint64_t* dropped = nullptr) const;
 
   /// Highest sequence number published so far (0 if none).
   std::uint64_t last_seq() const;
 
-  /// Number of events that have been overwritten by ring wrap so far.
-  std::uint64_t overwritten() const;
-
-  /// Blocks until the event with sequence `since + 1` is published (so a
-  /// read_since(since) makes progress) or `timeout_s` elapses. Returns
-  /// true if new events are available.
+  /// Blocks until an event with sequence > `since` is published or
+  /// `timeout_s` elapses. Returns true if new events are available.
   bool wait_for(std::uint64_t since, double timeout_s) const;
 
   std::size_t capacity() const { return mask_ + 1; }
 
  private:
-  /// True once the slot after `since` holds a written event.
-  bool published_after(std::uint64_t since) const;
-
-  struct Slot {
-    std::atomic<std::uint64_t> stamp{0};  ///< 2*seq while valid, 2*seq-1 mid-write.
-    std::atomic<std::uint64_t> words[(sizeof(Event) + 7) / 8];
+  /// The newest capacity() events of the lane's kinds, in sequence order.
+  struct Lane {
+    /// One array per segment, null until its first publish.
+    std::vector<std::unique_ptr<Event[]>> segments;
+    std::uint64_t published = 0;  ///< events ever published into the lane
   };
 
-  /// The slot of sequence `seq`; allocates its segment if no publish has
-  /// reached it yet.
-  Slot& slot_for_write(std::uint64_t seq);
-  /// The slot of sequence `seq`, or nullptr while its segment does not
-  /// exist — no event there has been written yet.
-  const Slot* slot_for_read(std::uint64_t seq) const;
+  /// Slot of the lane's `index`th event (0-based); its segment must exist.
+  const Event& slot(const Lane& lane, std::uint64_t index) const;
 
   std::size_t mask_ = 0;           ///< capacity - 1
   std::size_t segment_slots_ = 0;  ///< kSegmentSlots, or a smaller capacity
-  /// One pointer per segment, null until its first publish; a segment is
-  /// zero-initialized (every stamp 0) before it is installed.
-  std::vector<std::atomic<Slot*>> segments_;
-  std::atomic<std::uint64_t> next_{0};
   std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex wait_mutex_;
-  mutable std::condition_variable wait_cv_;
-  mutable std::atomic<int> waiters_{0};
+  mutable std::mutex mutex_;
+  mutable std::condition_variable published_;
+  std::uint64_t last_ = 0;  ///< highest sequence published
+  Lane generations_;        ///< kGeneration events
+  Lane lifecycle_;          ///< every other kind
 };
 
 }  // namespace wsnex::util::events

@@ -421,9 +421,7 @@ TEST_F(SchedulerTest, ResultsAnswerEvenWhenArtifactsAreUnreadable) {
 }
 
 TEST_F(SchedulerTest, DeadlineExceededFailsTheJob) {
-  SchedulerOptions o = options();
-  o.watchdog_interval_s = 0.05;  // tight loop so the test settles fast
-  JobScheduler scheduler(o);
+  JobScheduler scheduler(options());
   JobSpec spec =
       validation_job("rushed", {"hospital_ward_2", "hospital_ward_3"});
   // Far below any unit's runtime: a warm two-second single-replicate
@@ -565,6 +563,46 @@ TEST_F(SchedulerTest, FullBudgetMosaJobKeepsItsLifecycleInTheRing) {
   EXPECT_EQ(count_kind(util::events::Kind::kJobFinished), 1u);
 }
 
+// Twenty full-budget scenarios publish more generation events than the
+// 1024-slot ring holds; a replay from the start loses only those, never a
+// lifecycle event.
+TEST_F(SchedulerTest, BigJobReplaysEveryLifecycleEvent) {
+  JobScheduler scheduler(options());
+  JobSpec spec;
+  spec.id = "big";
+  spec.kind = JobKind::kCampaign;
+  for (int i = 0; i < 20; ++i) {
+    scenario::ScenarioSpec ward = scenario::preset("hospital_ward_2");
+    ward.name = "ward_" + std::to_string(i);
+    spec.scenarios.push_back(std::move(ward));
+  }
+  ASSERT_EQ(scheduler.submit(spec).code,
+            JobScheduler::Admission::Code::kAccepted);
+  scheduler.start();
+  EXPECT_EQ(wait_terminal(scheduler, "big").state, JobState::kComplete);
+
+  const auto ring = scheduler.events("big");
+  ASSERT_NE(ring, nullptr);
+  std::vector<util::events::Event> events;
+  std::uint64_t dropped = 0;
+  ring->read_since(0, events, &dropped);
+  EXPECT_GT(dropped, 0u);
+  const auto count_kind = [&](util::events::Kind kind) {
+    std::size_t n = 0;
+    for (const auto& event : events) {
+      if (event.kind == kind) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count_kind(util::events::Kind::kJobQueued), 1u);
+  EXPECT_EQ(count_kind(util::events::Kind::kJobStarted), 1u);
+  EXPECT_EQ(count_kind(util::events::Kind::kUnitStarted), 20u);
+  EXPECT_EQ(count_kind(util::events::Kind::kScenarioStarted), 20u);
+  EXPECT_EQ(count_kind(util::events::Kind::kScenarioFinished), 20u);
+  EXPECT_EQ(count_kind(util::events::Kind::kUnitFinished), 20u);
+  EXPECT_EQ(count_kind(util::events::Kind::kJobFinished), 1u);
+}
+
 TEST_F(SchedulerTest, ThreadsAboveOneIsRefusedNamingSlots) {
   SchedulerOptions o = options();
   o.threads = 2;
@@ -678,6 +716,48 @@ TEST_F(SchedulerTest, StalledSubmitDoesNotBlockReaders) {
             250.0);
   second.join();
   EXPECT_EQ(scheduler.total_jobs(), 2u);
+}
+
+// A cancel stalled in its fsync'd job.json write holds no lock that
+// status, list or results of another job need.
+TEST_F(SchedulerTest, StalledCancelDoesNotBlockReaders) {
+  if (!util::failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  }
+  FailpointGuard guard;
+  // Never started: no unit is in flight, so the cancel finalizes the job
+  // and writes its terminal job.json itself.
+  JobScheduler scheduler(options());
+  ASSERT_EQ(scheduler.submit(validation_job("doomed", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  ASSERT_EQ(scheduler.submit(validation_job("other", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  util::failpoint::configure("serve.job_record=sleep(500)#1");
+  std::thread canceller([&] { EXPECT_TRUE(scheduler.cancel("doomed")); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (util::failpoint::hits("serve.job_record") < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(util::failpoint::hits("serve.job_record"), 3u);
+  const auto elapsed_ms = [](const auto& call) {
+    const auto start = std::chrono::steady_clock::now();
+    call();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  EXPECT_LT(elapsed_ms([&] { EXPECT_TRUE(scheduler.status("other")); }),
+            250.0);
+  EXPECT_LT(elapsed_ms([&] { EXPECT_FALSE(scheduler.list().empty()); }),
+            250.0);
+  EXPECT_LT(elapsed_ms([&] { EXPECT_TRUE(scheduler.results("other")); }),
+            250.0);
+  canceller.join();
+  EXPECT_EQ(scheduler.status("doomed")->state, JobState::kCancelled);
 }
 
 TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {

@@ -1,12 +1,12 @@
 // Allocation gate for util::events::EventRing: a ring allocates its slots
 // one segment at a time, on the first publish that reaches a segment, so
 // its memory follows the events it has carried, not its capacity. A serve
-// campaign job publishes 68-73 events into a 1024-slot ring; 75 events
-// must fill three 32-slot segments, not all 1024 slots from construction
-// on. Once a ring has wrapped, publishing allocates nothing. Segments are
-// array allocations, which the counting allocator sees only where the
-// array forms forward to the counted operator new (not under ASan or
-// TSan); elsewhere the tests skip.
+// campaign job publishes 68-73 events into a 1024-slot ring; 75 generation
+// events must fill three 32-slot segments of their lane, not all 1024
+// slots from construction on. Once a ring has wrapped, publishing
+// allocates nothing. Segments are array allocations, which the counting
+// allocator sees only where the array forms forward to the counted
+// operator new (not under ASan or TSan); elsewhere the tests skip.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,8 +17,8 @@
 namespace wsnex::util::events {
 namespace {
 
-// A slot is its stamp plus the event's payload words.
-constexpr std::size_t kSlotBytes = 8 * (1 + (sizeof(Event) + 7) / 8);
+// A slot is one event.
+constexpr std::size_t kSlotBytes = sizeof(Event);
 constexpr std::size_t kSegmentBytes = EventRing::kSegmentSlots * kSlotBytes;
 
 struct Counts {
@@ -60,7 +60,7 @@ TEST(EventRingAllocations, SegmentsAreAllocatedAsPublishesReachThem) {
   publish_n(ring, 2048);
   const Counts wrapped = since(start);
 
-  // The segment table only: 32 pointers.
+  // The two lanes' segment tables only: 64 pointers.
   EXPECT_LE(built.bytes, 1024u) << "construction allocated slots";
   EXPECT_EQ(carried.allocations - built.allocations, 3u);
   EXPECT_EQ(carried.bytes - built.bytes, 3 * kSegmentBytes);
