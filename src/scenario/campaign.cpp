@@ -6,9 +6,11 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
 
 #include <fstream>
 #include <memory>
@@ -273,14 +275,26 @@ dse::Objectives hv_reference_point(const ScenarioSpec& spec) {
           spec.constraints.max_prd_percent, spec.constraints.max_delay_s};
 }
 
-ScenarioStatus execute_scenario(const ScenarioSpec& spec,
-                                const CampaignOptions& options,
-                                ResultStore& store, std::nullptr_t,
-                                dse::SharedEvalCache* cache) {
-  require_calling_thread(options);
+namespace {
+
+/// One executed scenario whose archives and post-scenario hook are done:
+/// what is left is its summary.json and its manifest record.
+struct ScenarioCommit {
+  ScenarioStatus status;
+  util::Json summary;
+  double start_s = 0.0;  ///< start of the wsnex_scenario_seconds interval
+};
+
+/// The part of a scenario that runs on its lane: the optimizer, the
+/// lifetime recompute, the archive CSVs, the `campaign.persist` fault site
+/// and the post-scenario hook, all inside the `scenario:<name>` span.
+ScenarioCommit run_on_lane(const ScenarioSpec& spec,
+                           const CampaignOptions& options, ResultStore& store,
+                           dse::SharedEvalCache* cache) {
   util::trace::Span scenario_span("scenario", spec.name);
   ScenarioPerf perf;
-  const double scenario_start = util::now_s();
+  ScenarioCommit commit;
+  commit.start_s = util::now_s();
   if (options.events != nullptr) {
     options.events->publish(util::events::make_event(
         util::events::Kind::kScenarioStarted, options.event_job_id, spec.name,
@@ -334,24 +348,13 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
     }
   }
   perf.persist_s = util::now_s() - phase_start;
-  store.write_summary(spec.name,
-                      make_summary(spec, run, feasible, lifetime_days, perf));
+  commit.summary = make_summary(spec, run, feasible, lifetime_days, perf);
   if (options.post_scenario) {
     util::trace::Span span("hook");
     options.post_scenario(spec, run, store);
   }
-  static auto& executed = scenario_counter("outcome=\"executed\"");
-  static auto& seconds = scenario_seconds();
-  executed.inc();
-  seconds.observe(util::now_s() - scenario_start);
-  if (options.events != nullptr) {
-    options.events->publish(util::events::make_event(
-        util::events::Kind::kScenarioFinished, options.event_job_id, spec.name,
-        "front=" + std::to_string(run.result.archive.size()) +
-            " evals=" + std::to_string(run.result.evaluations)));
-  }
 
-  ScenarioStatus status;
+  ScenarioStatus& status = commit.status;
   status.name = spec.name;
   status.complete = true;
   status.evaluations = run.result.evaluations;
@@ -359,7 +362,38 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
   status.front_size = run.result.archive.size();
   status.feasible_size = feasible.size();
   status.wallclock_s = run.result.wallclock_s;
-  return status;
+  return commit;
+}
+
+/// Writes the scenario's summary.json (fsync'd) and counts it executed;
+/// only its manifest record, the caller's, is left after this.
+void finish_scenario(const ScenarioCommit& commit,
+                     const CampaignOptions& options, ResultStore& store) {
+  const ScenarioStatus& status = commit.status;
+  store.write_summary(status.name, commit.summary);
+  static auto& executed = scenario_counter("outcome=\"executed\"");
+  static auto& seconds = scenario_seconds();
+  executed.inc();
+  seconds.observe(util::now_s() - commit.start_s);
+  if (options.events != nullptr) {
+    options.events->publish(util::events::make_event(
+        util::events::Kind::kScenarioFinished, options.event_job_id,
+        status.name,
+        "front=" + std::to_string(status.front_size) +
+            " evals=" + std::to_string(status.evaluations)));
+  }
+}
+
+}  // namespace
+
+ScenarioStatus execute_scenario(const ScenarioSpec& spec,
+                                const CampaignOptions& options,
+                                ResultStore& store, std::nullptr_t,
+                                dse::SharedEvalCache* cache) {
+  require_calling_thread(options);
+  ScenarioCommit commit = run_on_lane(spec, options, store, cache);
+  finish_scenario(commit, options, store);
+  return std::move(commit.status);
 }
 
 namespace {
@@ -368,10 +402,14 @@ namespace {
 /// claims the next spec index until the outcome prefix is exhausted and
 /// runs that scenario, post-scenario hook included, on its own thread, so
 /// at most `jobs` scenarios are in flight and, at jobs 1, the specs run in
-/// order on the calling thread. Result files do not depend on the lane
-/// count: each scenario is individually deterministic and the archives
-/// are written in canonical order; only the order of progress reports
-/// differs.
+/// order on the calling thread. A lane hands each scenario's fsync'd tail
+/// (summary.json, the manifest record, the progress report) to a commit
+/// thread and computes the next scenario meanwhile; it joins that thread
+/// before it starts the next commit, reports a skipped scenario or exits,
+/// so at jobs 1 commits and reports stay in spec order. Result files do
+/// not depend on the lane count: each scenario is individually
+/// deterministic and the archives are written in canonical order; only
+/// the order of progress reports differs.
 CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                               const CampaignOptions& options,
                               ResultStore& store,
@@ -406,36 +444,58 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   util::run_parallel(lanes, [&](std::size_t) {
-    // After a failure no lane starts another scenario; in-flight ones
-    // finish and persist, and run_parallel rethrows once every lane is
-    // done.
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= cutoff) return;
-      CampaignOutcome& outcome = outcomes[i];
-      outcome.name = specs[i].name;
-      if (manifest.scenarios[i].complete) {
-        outcome.skipped = true;
-        outcome.status = manifest.scenarios[i];
-        static auto& skipped = scenario_counter("outcome=\"skipped\"");
-        skipped.inc();
-        const std::lock_guard<std::mutex> lock(mutex);
-        ++report.skipped;
-        if (progress) progress(outcome);
-        continue;
+    // The lane's one commit in flight and its failure, read after a join.
+    std::exception_ptr commit_error;
+    std::jthread commit;
+    const auto join_commit = [&] {
+      if (commit.joinable()) commit.join();
+      return commit_error != nullptr;
+    };
+    try {
+      // After a failure no lane starts another scenario; in-flight ones
+      // finish, and a lane commits its scenario only if its previous
+      // commit succeeded. run_parallel rethrows once every lane is done.
+      while (!failed.load(std::memory_order_relaxed)) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= cutoff) break;
+        CampaignOutcome& outcome = outcomes[i];
+        outcome.name = specs[i].name;
+        if (manifest.scenarios[i].complete) {
+          if (join_commit()) break;
+          outcome.skipped = true;
+          outcome.status = manifest.scenarios[i];
+          static auto& skipped = scenario_counter("outcome=\"skipped\"");
+          skipped.inc();
+          const std::lock_guard<std::mutex> lock(mutex);
+          ++report.skipped;
+          if (progress) progress(outcome);
+          continue;
+        }
+        ScenarioCommit done = run_on_lane(specs[i], options, store, &cache);
+        if (join_commit()) break;  // this scenario stays pending
+        outcome.status = done.status;
+        commit = std::jthread([&, &outcome = outcomes[i],
+                               done = std::move(done)] {
+          try {
+            util::trace::Span span("commit", outcome.name);
+            finish_scenario(done, options, store);
+            const std::lock_guard<std::mutex> lock(mutex);
+            store.record_complete(outcome.status);
+            ++report.executed;
+            if (progress) progress(outcome);
+          } catch (...) {
+            commit_error = std::current_exception();
+            failed.store(true, std::memory_order_relaxed);
+          }
+        });
       }
-      try {
-        outcome.status =
-            execute_scenario(specs[i], options, store, nullptr, &cache);
-        const std::lock_guard<std::mutex> lock(mutex);
-        store.record_complete(outcome.status);
-        ++report.executed;
-        if (progress) progress(outcome);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        throw;
-      }
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      // The earlier scenario's failure wins.
+      if (join_commit()) std::rethrow_exception(commit_error);
+      throw;
     }
+    if (join_commit()) std::rethrow_exception(commit_error);
   });
 
   report.outcomes = std::move(outcomes);

@@ -16,9 +16,14 @@
 // Scheduling: scenarios are the unit of parallelism and the campaign's
 // only parallel level. util::run_parallel runs min(jobs, scenarios to
 // run) lanes, each claiming the next scenario in spec order and running
-// its optimizer and post-scenario hook on the lane's own thread, so at
-// most `jobs` scenarios are in flight. At jobs 1 the scenarios run in
-// spec order on the calling thread.
+// its optimizer, archive CSVs and post-scenario hook on the lane's own
+// thread, so at most `jobs` scenarios are in flight. The lane then hands
+// the scenario's fsync'd tail (summary.json, the manifest record and the
+// `progress` report) to a commit thread of its own and claims the next
+// scenario; it joins that thread before its next commit, before it
+// reports a skipped scenario and before it exits, so it has at most one
+// commit in flight. At jobs 1 the scenarios run in spec order on the
+// calling thread, and commits and reports follow in spec order.
 #pragma once
 
 #include <cstddef>
@@ -90,12 +95,13 @@ dse::Objectives hv_reference_point(const ScenarioSpec& spec);
 /// text or bucket bounds differ.
 util::metrics::Histogram& scenario_seconds_histogram();
 
-/// Called after a scenario's result files are on disk but *before* the
-/// manifest marks it complete — a crash mid-hook leaves the scenario
-/// pending, so resume re-runs scenario + hook and reproduces both. The
-/// validate subsystem installs its Monte Carlo validator here
-/// (`wsnex run --validate`); the scenario layer itself stays independent
-/// of the modules above it. The hook runs on the scenario's own thread.
+/// Called after a scenario's archive CSVs are on disk but *before* its
+/// summary.json and the manifest record that marks it complete — a crash
+/// mid-hook leaves the scenario pending, so resume re-runs scenario + hook
+/// and reproduces both. The validate subsystem installs its Monte Carlo
+/// validator here (`wsnex run --validate`); the scenario layer itself
+/// stays independent of the modules above it. The hook runs on the
+/// scenario's lane, never beside the lane's next optimizer.
 using PostScenarioHook = std::function<void(
     const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store)>;
 
@@ -148,15 +154,16 @@ struct CampaignOptions {
 };
 
 /// Runs one scenario and persists its result files (pareto.csv,
-/// feasible.csv, summary.json and the post_scenario hook's artifacts) into
-/// `store` — everything except the manifest update, which the caller
+/// feasible.csv, the post_scenario hook's artifacts, then summary.json)
+/// into `store` — everything except the manifest update, which the caller
 /// serializes via ResultStore::record_complete once the returned status is
-/// safe to publish. This is the shared unit of work of the campaign
-/// driver and the `wsnex serve` job scheduler: both run many of these
-/// concurrently, each on its own thread and followed by its own
-/// record_complete. The optimizer and the post_scenario hook run on the
-/// calling thread. The fourth parameter carries nothing: it keeps the
-/// call shape of callers that passed a pool there; pass nullptr.
+/// safe to publish. The `wsnex serve` job scheduler runs many of these
+/// concurrently, each on its own slot's thread and followed by its own
+/// record_complete; the campaign driver runs the same pieces but writes
+/// summary.json and the manifest record on its lane's commit thread.
+/// Everything here runs on the calling thread and is done when it
+/// returns. The fourth parameter carries nothing: it keeps the call shape
+/// of callers that passed a pool there; pass nullptr.
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
                                 ResultStore& store, std::nullptr_t,
@@ -184,7 +191,11 @@ struct CampaignReport {
 /// manifest after each one.
 ///
 /// `progress`, when set, is called after each scenario (executed or
-/// skipped) — the CLI uses it for live per-scenario reporting.
+/// skipped) — the CLI uses it for live per-scenario reporting. For an
+/// executed scenario it is called from the lane's commit thread once the
+/// manifest records the scenario complete; calls never overlap, and at
+/// jobs 1 they come in spec order. An exception it throws fails that
+/// commit: the campaign stops as after a failed scenario.
 CampaignReport run_campaign(
     const std::vector<ScenarioSpec>& specs, const CampaignOptions& options,
     const std::function<void(const CampaignOutcome&)>& progress = {});

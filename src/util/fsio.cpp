@@ -16,6 +16,7 @@
 
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
+#include "util/metrics.hpp"
 
 namespace wsnex::util {
 
@@ -38,6 +39,16 @@ bool is_temp_debris(const std::string& name) {
 }
 
 #if !defined(_WIN32)
+
+/// Every fsync write_file_atomic issues, on the temp file and on the
+/// parent directory, counted whether or not it succeeds.
+metrics::Counter& fsyncs_total() {
+  static metrics::Counter& fsyncs = metrics::Registry::instance().counter(
+      "wsnex_fsyncs_total",
+      "fsync calls issued by atomic file writes, on the file and on its "
+      "directory");
+  return fsyncs;
+}
 
 void write_all(int fd, const char* data, std::size_t size,
                const std::string& tmp) {
@@ -69,6 +80,7 @@ void fsync_parent_dir(const std::string& path) {
                  << " to fsync after rename: " << std::strerror(errno);
     return;
   }
+  fsyncs_total().inc();
   if (::fsync(fd) != 0 && errno != EINVAL && errno != ENOTSUP) {
     WSNEX_WARN() << "fsync of " << dir
                  << " failed after rename: " << std::strerror(errno);
@@ -123,6 +135,7 @@ void write_file_atomic(const std::string& path, const std::string& contents,
     ::unlink(tmp.c_str());
     throw;
   }
+  fsyncs_total().inc();
   if (::fsync(fd) != 0) {
     const int err = errno;
     ::close(fd);

@@ -27,7 +27,8 @@ std::string read_file(const std::string& path);
 /// Durability: the temp file is fsync'd before the rename and the parent
 /// directory is fsync'd after it, so once this returns the new contents
 /// survive power loss (POSIX; on other platforms the write is atomic but
-/// only as durable as the OS page cache).
+/// only as durable as the OS page cache). Each of the two fsyncs bumps
+/// the `wsnex_fsyncs_total` counter when it is issued.
 ///
 /// `site` optionally names a util::failpoint evaluated around the write:
 /// `<site>` fires before the payload hits the temp file (error(E) throws

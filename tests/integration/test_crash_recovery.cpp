@@ -23,6 +23,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/result_store.hpp"
 #include "util/failpoint.hpp"
+#include "util/fsio.hpp"
 #include "util/metrics.hpp"
 
 namespace wsnex {
@@ -121,6 +122,41 @@ TEST_F(CrashRecoveryTest, CrashAtEveryPersistSiteResumesBitIdentical) {
     EXPECT_EQ(read_file(store.feasible_csv_path(name)), ref_feasible);
     // Recovery leaves no temp debris behind.
     EXPECT_EQ(store.sweep_stale_temp_files(), 0u);
+  }
+}
+
+// A lane commits scenario 0 while it computes scenario 1. When scenario
+// 0's summary.json cannot be written (ENOSPC), run_campaign throws the
+// FileError, scenario 1 is not committed either, and a resume writes the
+// reference archives.
+TEST_F(CrashRecoveryTest, FailedSummaryWriteLeavesBothScenariosPending) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  const std::vector<scenario::ScenarioSpec> specs{
+      scenario::preset("hospital_ward_2"), scenario::preset("hospital_ward_3")};
+  ASSERT_TRUE(scenario::run_campaign(specs, options(dir("ref"))).complete);
+
+  scenario::CampaignOptions o = options(dir("a"));
+  o.jobs = 1;
+  fp::configure("result_store.summary=error(28)#1");
+  EXPECT_THROW(scenario::run_campaign(specs, o), util::FileError);
+  fp::reset();
+
+  const scenario::ResultStore store(dir("a"));
+  const scenario::CampaignManifest manifest = store.load_manifest();
+  ASSERT_EQ(manifest.scenarios.size(), 2u);
+  EXPECT_FALSE(manifest.scenarios[0].complete);
+  EXPECT_FALSE(manifest.scenarios[1].complete);
+  EXPECT_EQ(store.sweep_stale_temp_files(), 0u);
+
+  EXPECT_TRUE(scenario::resume_campaign(dir("a")).complete);
+  const scenario::ResultStore ref(dir("ref"));
+  for (const scenario::ScenarioSpec& spec : specs) {
+    EXPECT_EQ(read_file(store.pareto_csv_path(spec.name)),
+              read_file(ref.pareto_csv_path(spec.name)))
+        << spec.name;
+    EXPECT_EQ(read_file(store.feasible_csv_path(spec.name)),
+              read_file(ref.feasible_csv_path(spec.name)))
+        << spec.name;
   }
 }
 

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -250,6 +252,93 @@ TEST_F(CampaignTest, FailingScenarioStopsTheCampaignAndStaysPending) {
     EXPECT_TRUE(resumed.complete);
     expect_same_archives(specs, dir("clean"), out);
   }
+}
+
+// A progress report that throws fails the commit that makes it: the
+// scenario it reports is already in the manifest, the scenario the lane
+// computed meanwhile is not committed, and none starts after it.
+TEST_F(CampaignTest, FailedCommitLeavesTheNextScenariosPending) {
+  const auto specs = small_campaign();
+  run_campaign(specs, options(dir("clean")));
+
+  std::vector<std::string> hooked;  // the hook runs on the lane
+  CampaignOptions o = options(dir("a"));
+  o.jobs = 1;
+  o.post_scenario = [&](const ScenarioSpec& spec, const ScenarioRun&,
+                        ResultStore&) { hooked.push_back(spec.name); };
+  EXPECT_THROW(run_campaign(specs, o,
+                            [&](const CampaignOutcome& outcome) {
+                              if (outcome.name == specs[0].name) {
+                                throw std::runtime_error("report failed");
+                              }
+                            }),
+               std::runtime_error);
+  const CampaignManifest manifest = ResultStore(dir("a")).load_manifest();
+  EXPECT_TRUE(manifest.scenarios[0].complete);
+  EXPECT_FALSE(manifest.scenarios[1].complete);
+  EXPECT_FALSE(manifest.scenarios[2].complete);
+  EXPECT_EQ(std::count(hooked.begin(), hooked.end(), specs[2].name), 0);
+
+  const CampaignReport resumed = resume_campaign(dir("a"));
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.skipped, 1u);
+  EXPECT_EQ(resumed.executed, 2u);
+  expect_same_archives(specs, dir("clean"), dir("a"));
+}
+
+// At jobs 1 the lane commits scenario 0 (summary.json, manifest record,
+// progress report) on a thread of its own and computes scenario 1
+// meanwhile, so scenario 0's report can wait for scenario 1's hook. A lane
+// that committed scenario 0 itself would run hook 1 only after report 0
+// returned, and the wait would time out.
+TEST_F(CampaignTest, NextScenarioRunsWhileTheLastCommits) {
+  const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
+                                               preset("hospital_ward_3")};
+  std::mutex mutex;
+  std::condition_variable hooked;
+  bool second_hooked = false;
+  CampaignOptions o = options(dir("a"));
+  o.jobs = 1;
+  o.post_scenario = [&](const ScenarioSpec& spec, const ScenarioRun&,
+                        ResultStore&) {
+    if (spec.name != specs[1].name) return;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      second_hooked = true;
+    }
+    hooked.notify_all();
+  };
+  bool overlapped = false;
+  std::vector<std::string> reported;
+  const CampaignReport report =
+      run_campaign(specs, o, [&](const CampaignOutcome& outcome) {
+        reported.push_back(outcome.name);
+        if (outcome.name != specs[0].name) return;
+        std::unique_lock<std::mutex> lock(mutex);
+        overlapped = hooked.wait_for(lock, std::chrono::seconds(5),
+                                     [&] { return second_hooked; });
+      });
+  EXPECT_TRUE(overlapped)
+      << "scenario 1's hook did not run while scenario 0 committed";
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(reported, (std::vector<std::string>{specs[0].name,
+                                                 specs[1].name}));
+}
+
+// Overlapping commits drop no fsync: initialize freezes each spec (file
+// and directory: 2 each) and writes the all-pending manifest (2), and each
+// scenario adds its summary.json (2) and its manifest record (2).
+TEST_F(CampaignTest, TwoScenarioCampaignIssuesFourteenFsyncs) {
+  const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
+                                               preset("hospital_ward_3")};
+  // Looked up by name; the help text of the first registration is kept.
+  const util::metrics::Counter& fsyncs =
+      util::metrics::Registry::instance().counter("wsnex_fsyncs_total", "");
+  const double before = fsyncs.value();
+  CampaignOptions o = options(dir("a"));
+  o.jobs = 1;
+  EXPECT_TRUE(run_campaign(specs, o).complete);
+  EXPECT_EQ(fsyncs.value() - before, 2.0 * 2 + 2 + 4.0 * 2);
 }
 
 TEST_F(CampaignTest, JobsCapsScenariosInFlight) {

@@ -7,8 +7,10 @@
 # (exit 86), recovers the way an operator would (`wsnex resume` when the
 # campaign manifest exists, re-issued `wsnex run` when the crash predates
 # it), and byte-compares the recovered archives against the reference.
-# A final leg tears the PRD calibration disk cache mid-write and checks
-# a warm rerun degrades to recompute with identical archives.
+# A two-scenario `--jobs 1` leg then crashes each commit site (summary,
+# manifest record) while the lane already runs the second optimizer. A
+# final leg tears the PRD calibration disk cache mid-write and checks a
+# warm rerun degrades to recompute with identical archives.
 #
 # Usage: tools/crash_soak.sh <path-to-wsnex-binary> [workdir]
 # The binary must be built with -DWSNEX_FAILPOINTS=ON; the script fails
@@ -27,6 +29,41 @@ fail() { echo "FAIL: $*" >&2; failures=$((failures + 1)); }
 run_campaign() { # out-dir, extra args...
   local out=$1; shift
   WSNEX_FAILPOINTS= "$BIN" run "$SCENARIO" -o "$out" --quick "$@"
+}
+
+# crash_leg LABEL ARM REF SCENARIO...: crashes a `--jobs 1` quick run of
+# the scenarios at ARM, recovers it and byte-compares every scenario's
+# archives with the reference store REF.
+crash_leg() {
+  local label=$1 arm=$2 ref=$3; shift 3
+  local out="$WORK/$label" status s f leftovers
+  echo "== crash site $label ($arm) =="
+
+  WSNEX_FAILPOINTS="$arm" "$BIN" run "$@" -o "$out" --quick --jobs 1 \
+    >/dev/null 2>"$WORK/$label.crash.log"
+  status=$?
+  if [ "$status" -ne "$CRASH_EXIT" ]; then
+    fail "$label: expected crash exit $CRASH_EXIT, got $status (site never fired?)"
+    return
+  fi
+
+  # Recover: resume once the manifest exists, otherwise rerun from scratch.
+  if [ -f "$out/campaign.json" ]; then
+    WSNEX_FAILPOINTS= "$BIN" resume "$out" >/dev/null \
+      || { fail "$label: resume failed"; return; }
+  else
+    WSNEX_FAILPOINTS= "$BIN" run "$@" -o "$out" --quick --jobs 1 >/dev/null \
+      || { fail "$label: rerun after pre-manifest crash failed"; return; }
+  fi
+
+  for s in "$@"; do
+    for f in pareto.csv feasible.csv; do
+      cmp -s "$out/results/$s/$f" "$ref/results/$s/$f" \
+        || fail "$label: $s/$f differs from reference after recovery"
+    done
+  done
+  leftovers=$(find "$out" -name "*.tmp.*" | wc -l)
+  [ "$leftovers" -eq 0 ] || fail "$label: $leftovers stale temp files left"
 }
 
 echo "== reference run =="
@@ -48,36 +85,28 @@ SITES=(
   "manifest:result_store.manifest=crash#2"
   "manifest_rename:result_store.manifest.rename=crash#2"
 )
-
 for entry in "${SITES[@]}"; do
-  label=${entry%%:*}
-  arm=${entry#*:}
-  out="$WORK/$label"
-  echo "== crash site $label ($arm) =="
+  crash_leg "${entry%%:*}" "${entry#*:}" "$REF" "$SCENARIO"
+done
 
-  WSNEX_FAILPOINTS="$arm" "$BIN" run "$SCENARIO" -o "$out" --quick \
-    >/dev/null 2>"$WORK/$label.crash.log"
-  status=$?
-  if [ "$status" -ne "$CRASH_EXIT" ]; then
-    fail "$label: expected crash exit $CRASH_EXIT, got $status (site never fired?)"
-    continue
-  fi
-
-  # Recover: resume once the manifest exists, otherwise rerun from scratch.
-  if [ -f "$out/campaign.json" ]; then
-    WSNEX_FAILPOINTS= "$BIN" resume "$out" >/dev/null \
-      || { fail "$label: resume failed"; continue; }
-  else
-    run_campaign "$out" >/dev/null \
-      || { fail "$label: rerun after pre-manifest crash failed"; continue; }
-  fi
-
-  cmp -s "$out/results/$SCENARIO/pareto.csv" "$REF_PARETO" \
-    || fail "$label: pareto.csv differs from reference after recovery"
-  cmp -s "$out/results/$SCENARIO/feasible.csv" "$REF_FEASIBLE" \
-    || fail "$label: feasible.csv differs from reference after recovery"
-  leftovers=$(find "$out" -name "*.tmp.*" | wc -l)
-  [ "$leftovers" -eq 0 ] || fail "$label: $leftovers stale temp files left"
+# Two scenarios: the lane commits the first one's summary.json and
+# manifest record on a thread of its own while it runs the second one's
+# optimizer, so these crashes land mid-optimizer. Manifest evaluation 2
+# records the first scenario, evaluation 3 the second.
+PAIR=(hospital_ward_2 hospital_ward_3)
+echo "== two-scenario reference run =="
+PAIR_REF="$WORK/pair_ref"
+WSNEX_FAILPOINTS= "$BIN" run "${PAIR[@]}" -o "$PAIR_REF" --quick --jobs 1 \
+  >/dev/null || { echo "two-scenario reference failed" >&2; exit 1; }
+PAIR_SITES=(
+  "pair_summary:result_store.summary=crash"
+  "pair_summary_rename:result_store.summary.rename=crash"
+  "pair_manifest2:result_store.manifest=crash#2"
+  "pair_manifest3:result_store.manifest=crash#3"
+  "pair_manifest_rename:result_store.manifest.rename=crash#2"
+)
+for entry in "${PAIR_SITES[@]}"; do
+  crash_leg "${entry%%:*}" "${entry#*:}" "$PAIR_REF" "${PAIR[@]}"
 done
 
 echo "== torn PRD cache leg =="
