@@ -5,15 +5,17 @@
 #include <atomic>
 #include <cerrno>
 #include <charconv>
+#include <condition_variable>
 #include <cstring>
 #include <exception>
+#include <fstream>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
-
-#include <fstream>
-#include <memory>
+#include <unordered_set>
 
 #include "dse/objectives.hpp"
 #include "dsp/prd_calibration.hpp"
@@ -34,13 +36,18 @@ namespace wsnex::scenario {
 
 namespace {
 
-/// Wall-clock split of one execute_scenario call: four clock reads per
-/// scenario, recorded in summary.json's perf block.
+/// Wall-clock split of one scenario, recorded in summary.json's perf
+/// block: `evaluate_s` is timed on the lane, the rest by its commit.
 struct ScenarioPerf {
   double evaluate_s = 0.0;  ///< run_scenario (DSE + decode)
   double lifetime_s = 0.0;  ///< feasibility + lifetime recompute
   double persist_s = 0.0;   ///< archive CSV writes
 };
+
+/// How much optimizer time a scenario's progress records may wait in
+/// memory before they are written to progress.jsonl (`wsnex watch DIR`
+/// polls at the same period).
+constexpr double kProgressWriteInterval_s = 0.25;
 
 util::metrics::Counter& scenario_counter(const char* labels) {
   return util::metrics::Registry::instance().counter(
@@ -175,14 +182,50 @@ util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
   return summary;
 }
 
+/// One scenario's progress.jsonl. The convergence sink appends each
+/// record's line to `pending` and, once kProgressWriteInterval_s of the
+/// optimizer's time has passed since its start or the last write, writes
+/// the pending lines out, creating the file on the first write. The
+/// scenario's commit writes the rest and closes the file. The lane hands
+/// the file to its commit worker only through the worker's handoff, so
+/// the two never touch it at once.
+struct ProgressFile {
+  const ResultStore* store = nullptr;
+  std::string name;             ///< the scenario's
+  std::string pending;          ///< records not yet written, one per line
+  double last_write_s = 0.0;    ///< optimizer time of the last write
+  bool created = false;         ///< the first write opened `out`
+  std::ofstream out;
+
+  /// Writes `pending` out, creating (truncating) the file on the first
+  /// call. Telemetry, not a result: a failed write is not an error.
+  void write_pending() {
+    if (!created) {
+      created = true;
+      store->ensure_result_dir(name);
+      out.open(store->progress_jsonl_path(name),
+               std::ios::out | std::ios::trunc);
+    }
+    out.write(pending.data(), static_cast<std::streamsize>(pending.size()));
+    out.flush();
+    pending.clear();
+  }
+
+  /// Writes what is left and closes the file, which exists afterwards
+  /// even when the optimizer reported no record.
+  void finish() {
+    write_pending();
+    out.close();
+  }
+};
+
 /// Per-scenario state shared by the convergence sink's invocations (the
-/// sink runs on the scenario's own task thread, so no locking is needed;
-/// the shared_ptr only extends lifetime into the capturing lambda).
+/// sink runs on the scenario's lane, so no locking is needed; the
+/// shared_ptr only extends lifetime into the capturing lambda).
 struct ConvergenceState {
   util::events::Event event;  ///< kGeneration template: job and scenario set
-  std::ofstream out;          ///< progress.jsonl stream (closed when disabled)
-  std::string line;           ///< the record being written, reused
-  std::uint64_t records = 0;  ///< records written to `out` so far
+  std::shared_ptr<ProgressFile> file;  ///< null when progress is disabled
+  std::uint64_t records = 0;  ///< records appended to `file` so far
   util::events::EventRing* events = nullptr;
   dse::Objectives reference;
   ClinicalConstraints constraints;
@@ -191,26 +234,22 @@ struct ConvergenceState {
 
 /// Builds the convergence observer for one scenario: each snapshot becomes
 /// one `generation` event, published into the campaign's ring and/or
-/// appended to progress.jsonl as its util::events JSON (flushed, so the
-/// file tails live). Ring and file carry the same record apart from `seq`
-/// and `t`: in the file, `seq` numbers the file's records from 1 and `t`
-/// is the optimizer's elapsed seconds. Returns an empty sink when both
-/// outputs are disabled. Strictly read-only w.r.t. the optimizer run.
+/// appended to `file` as its util::events JSON. Ring and file carry the
+/// same record apart from `seq` and `t`: in the file, `seq` numbers the
+/// file's records from 1 and `t` is the optimizer's elapsed seconds.
+/// Returns an empty sink when both outputs are disabled. Strictly
+/// read-only w.r.t. the optimizer run.
 dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
                                         const CampaignOptions& options,
-                                        ResultStore& store) {
-  if (!options.progress && options.events == nullptr) return {};
+                                        std::shared_ptr<ProgressFile> file) {
+  if (file == nullptr && options.events == nullptr) return {};
   auto state = std::make_shared<ConvergenceState>();
   state->event = util::events::make_event(util::events::Kind::kGeneration,
                                           options.event_job_id, spec.name, "");
+  state->file = std::move(file);
   state->events = options.events;
   state->reference = hv_reference_point(spec);
   state->constraints = spec.constraints;
-  if (options.progress) {
-    store.ensure_result_dir(spec.name);
-    state->out.open(store.progress_jsonl_path(spec.name),
-                    std::ios::out | std::ios::trunc);
-  }
   return [state](const dse::ProgressSnapshot& snap) {
     util::events::Event e = state->event;
     e.generation = snap.generation;
@@ -236,15 +275,15 @@ dse::ProgressSink make_convergence_sink(const ScenarioSpec& spec,
                                              state->scratch);
     }
     if (state->events != nullptr) state->events->publish(e);
-    if (state->out.is_open()) {
+    if (ProgressFile* file = state->file.get()) {
       e.seq = ++state->records;
       e.time_s = snap.elapsed_s;
-      state->line.clear();
-      util::events::append_event_json(state->line, e);
-      state->line += '\n';
-      state->out.write(state->line.data(),
-                       static_cast<std::streamsize>(state->line.size()));
-      state->out.flush();
+      util::events::append_event_json(file->pending, e);
+      file->pending += '\n';
+      if (snap.elapsed_s - file->last_write_s >= kProgressWriteInterval_s) {
+        file->last_write_s = snap.elapsed_s;
+        file->write_pending();
+      }
     }
   };
 }
@@ -277,40 +316,67 @@ dse::Objectives hv_reference_point(const ScenarioSpec& spec) {
 
 namespace {
 
-/// One executed scenario whose archives and post-scenario hook are done:
-/// what is left is its summary.json and its manifest record.
+/// One scenario whose optimizer and post-scenario hook ran on its lane:
+/// what is left is its commit (commit_scenario), which owns all of it.
 struct ScenarioCommit {
-  ScenarioStatus status;
-  util::Json summary;
+  const ScenarioSpec* spec = nullptr;
+  ScenarioRun run;
+  std::shared_ptr<ProgressFile> progress;  ///< null when progress is off
+  ScenarioPerf perf;
   double start_s = 0.0;  ///< start of the wsnex_scenario_seconds interval
+  std::size_t index = 0;  ///< spec index, for the campaign driver
 };
 
-/// The part of a scenario that runs on its lane: the optimizer, the
-/// lifetime recompute, the archive CSVs, the `campaign.persist` fault site
-/// and the post-scenario hook, all inside the `scenario:<name>` span.
+/// The part of a scenario that runs on its lane, inside the
+/// `scenario:<name>` span: the optimizer with its convergence sink (span
+/// `evaluate`), then the post-scenario hook. It writes no file itself
+/// apart from progress records due on the 250-ms cadence and the hook's.
 ScenarioCommit run_on_lane(const ScenarioSpec& spec,
                            const CampaignOptions& options, ResultStore& store,
                            dse::SharedEvalCache* cache) {
   util::trace::Span scenario_span("scenario", spec.name);
-  ScenarioPerf perf;
-  ScenarioCommit commit;
-  commit.start_s = util::now_s();
+  const double start_s = util::now_s();
   if (options.events != nullptr) {
     options.events->publish(util::events::make_event(
         util::events::Kind::kScenarioStarted, options.event_job_id, spec.name,
         ""));
   }
+  std::shared_ptr<ProgressFile> progress;
+  if (options.progress) {
+    progress = std::make_shared<ProgressFile>();
+    progress->store = &store;
+    progress->name = spec.name;
+  }
 
-  double phase_start = util::now_s();
+  const double phase_start = util::now_s();
   const dse::ProgressSink convergence =
-      make_convergence_sink(spec, options, store);
+      make_convergence_sink(spec, options, progress);
   ScenarioRun run = [&] {
     util::trace::Span span("evaluate");
     return run_scenario(spec, options.quick, cache, convergence);
   }();
+  ScenarioPerf perf;
   perf.evaluate_s = util::now_s() - phase_start;
+  if (options.post_scenario) {
+    util::trace::Span span("hook");
+    options.post_scenario(spec, run, store);
+  }
+  return ScenarioCommit{&spec, std::move(run), std::move(progress), perf,
+                        start_s};
+}
 
-  phase_start = util::now_s();
+/// A scenario's commit, short of its manifest record: the feasibility
+/// screen and lifetime recompute (span `lifetime`), the rest of
+/// progress.jsonl, pareto.csv and feasible.csv then the `campaign.persist`
+/// fault site (span `persist`), and summary.json (fsync'd). Returns the
+/// status the manifest record publishes. The caller opens the
+/// `commit:<name>` span.
+ScenarioStatus commit_scenario(ScenarioCommit& commit,
+                               const CampaignOptions& options,
+                               const ResultStore& store) {
+  const ScenarioSpec& spec = *commit.spec;
+  const ScenarioRun& run = commit.run;
+  double phase_start = util::now_s();
   std::vector<std::size_t> feasible;
   std::vector<double> lifetime_days;
   {
@@ -326,7 +392,8 @@ ScenarioCommit run_on_lane(const ScenarioSpec& spec,
                               entries[i].genome);
     }
   }
-  perf.lifetime_s = util::now_s() - phase_start;
+  commit.perf.lifetime_s = util::now_s() - phase_start;
+  if (commit.progress != nullptr) commit.progress->finish();
 
   phase_start = util::now_s();
   {
@@ -347,14 +414,16 @@ ScenarioCommit run_on_lane(const ScenarioSpec& spec,
                             " failed (injected): " + std::strerror(errno));
     }
   }
-  perf.persist_s = util::now_s() - phase_start;
-  commit.summary = make_summary(spec, run, feasible, lifetime_days, perf);
-  if (options.post_scenario) {
-    util::trace::Span span("hook");
-    options.post_scenario(spec, run, store);
-  }
+  commit.perf.persist_s = util::now_s() - phase_start;
 
-  ScenarioStatus& status = commit.status;
+  store.write_summary(spec.name, make_summary(spec, run, feasible,
+                                              lifetime_days, commit.perf));
+  static auto& executed = scenario_counter("outcome=\"executed\"");
+  static auto& seconds = scenario_seconds();
+  executed.inc();
+  seconds.observe(util::now_s() - commit.start_s);
+
+  ScenarioStatus status;
   status.name = spec.name;
   status.complete = true;
   status.evaluations = run.result.evaluations;
@@ -362,19 +431,6 @@ ScenarioCommit run_on_lane(const ScenarioSpec& spec,
   status.front_size = run.result.archive.size();
   status.feasible_size = feasible.size();
   status.wallclock_s = run.result.wallclock_s;
-  return commit;
-}
-
-/// Writes the scenario's summary.json (fsync'd) and counts it executed;
-/// only its manifest record, the caller's, is left after this.
-void finish_scenario(const ScenarioCommit& commit,
-                     const CampaignOptions& options, ResultStore& store) {
-  const ScenarioStatus& status = commit.status;
-  store.write_summary(status.name, commit.summary);
-  static auto& executed = scenario_counter("outcome=\"executed\"");
-  static auto& seconds = scenario_seconds();
-  executed.inc();
-  seconds.observe(util::now_s() - commit.start_s);
   if (options.events != nullptr) {
     options.events->publish(util::events::make_event(
         util::events::Kind::kScenarioFinished, options.event_job_id,
@@ -382,6 +438,7 @@ void finish_scenario(const ScenarioCommit& commit,
         "front=" + std::to_string(status.front_size) +
             " evals=" + std::to_string(status.evaluations)));
   }
+  return status;
 }
 
 }  // namespace
@@ -392,24 +449,98 @@ ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 dse::SharedEvalCache* cache) {
   require_calling_thread(options);
   ScenarioCommit commit = run_on_lane(spec, options, store, cache);
-  finish_scenario(commit, options, store);
-  return std::move(commit.status);
+  util::trace::Span span("commit", spec.name);
+  return commit_scenario(commit, options, store);
 }
 
 namespace {
 
+/// A campaign lane's commit worker: one thread that runs the lane's
+/// scenario commits in the order they are posted, through a one-slot
+/// handoff guarded by one mutex and one condition variable. The lane posts
+/// a commit and computes its next scenario meanwhile; it calls wait()
+/// before its next post, so at most one commit is in flight. The worker
+/// is not a util::run_parallel call, so `wsnex_threadpool_*` count lanes.
+class CommitWorker {
+ public:
+  using Commit = std::function<void(ScenarioCommit&)>;
+
+  explicit CommitWorker(Commit commit)
+      : commit_(std::move(commit)), thread_([this] { serve(); }) {}
+
+  ~CommitWorker() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    ready_.notify_one();
+  }  // thread_, the last member, joins first
+
+  /// Blocks until no commit is in flight; returns the first commit's
+  /// failure, which stays set, or null.
+  std::exception_ptr wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ready_.wait(lock, [&] { return !busy_; });
+    return error_;
+  }
+
+  /// Hands `commit` to the worker; call only after wait() returned null.
+  void post(ScenarioCommit commit) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      slot_.emplace(std::move(commit));
+      busy_ = true;
+    }
+    ready_.notify_one();
+  }
+
+ private:
+  // The lane waits only while busy_ and the worker only while idle, so a
+  // notify_one always reaches the thread that waits for it.
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      ready_.wait(lock, [&] { return slot_.has_value() || stop_; });
+      if (!slot_) return;
+      ScenarioCommit commit = std::move(*slot_);
+      slot_.reset();
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        commit_(commit);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      error_ = std::move(error);
+      busy_ = false;
+      ready_.notify_one();
+    }
+  }
+
+  const Commit commit_;
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::optional<ScenarioCommit> slot_;  ///< posted, not yet taken
+  bool busy_ = false;                   ///< a commit is posted or running
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::jthread thread_;
+};
+
 /// Runs the campaign on min(jobs, scenarios to run) lanes: each lane
 /// claims the next spec index until the outcome prefix is exhausted and
-/// runs that scenario, post-scenario hook included, on its own thread, so
-/// at most `jobs` scenarios are in flight and, at jobs 1, the specs run in
-/// order on the calling thread. A lane hands each scenario's fsync'd tail
-/// (summary.json, the manifest record, the progress report) to a commit
-/// thread and computes the next scenario meanwhile; it joins that thread
-/// before it starts the next commit, reports a skipped scenario or exits,
-/// so at jobs 1 commits and reports stay in spec order. Result files do
-/// not depend on the lane count: each scenario is individually
-/// deterministic and the archives are written in canonical order; only
-/// the order of progress reports differs.
+/// runs that scenario's optimizer and post-scenario hook on its own
+/// thread, so at most `jobs` scenarios are in flight and, at jobs 1, the
+/// specs run in order on the calling thread. The lane posts everything
+/// else (lifetime recompute, progress.jsonl, the archive CSVs,
+/// summary.json, the manifest record and the progress report) to its
+/// commit worker and computes the next scenario meanwhile; it waits for
+/// the worker before its next post, before it reports a skipped scenario
+/// and before it exits, so at jobs 1 commits and reports stay in spec
+/// order. Result files do not depend on the lane count: each scenario is
+/// individually deterministic and the archives are written in canonical
+/// order; only the order of progress reports differs.
 CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                               const CampaignOptions& options,
                               ResultStore& store,
@@ -443,59 +574,69 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
   std::mutex mutex;  // guards the manifest, `report` and `progress`
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  util::run_parallel(lanes, [&](std::size_t) {
-    // The lane's one commit in flight and its failure, read after a join.
-    std::exception_ptr commit_error;
-    std::jthread commit;
-    const auto join_commit = [&] {
-      if (commit.joinable()) commit.join();
-      return commit_error != nullptr;
-    };
+  // After a failure no lane claims another scenario; in-flight ones
+  // finish, and a lane posts its scenario only if its previous commit
+  // succeeded. run_parallel rethrows once every lane is done.
+  const auto claim = [&] {
+    return failed.load(std::memory_order_relaxed)
+               ? cutoff
+               : next.fetch_add(1, std::memory_order_relaxed);
+  };
+  const auto commit = [&](ScenarioCommit& done) {
     try {
-      // After a failure no lane starts another scenario; in-flight ones
-      // finish, and a lane commits its scenario only if its previous
-      // commit succeeded. run_parallel rethrows once every lane is done.
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= cutoff) break;
+      CampaignOutcome& outcome = outcomes[done.index];
+      util::trace::Span span("commit", outcome.name);
+      ScenarioStatus status = commit_scenario(done, options, store);
+      const std::lock_guard<std::mutex> lock(mutex);
+      store.record_complete(status);
+      outcome.status = std::move(status);
+      ++report.executed;
+      if (progress) progress(outcome);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
+    }
+  };
+  util::run_parallel(lanes, [&](std::size_t) {
+    CommitWorker worker(commit);
+    try {
+      std::size_t i = claim();
+      while (i < cutoff) {
         CampaignOutcome& outcome = outcomes[i];
         outcome.name = specs[i].name;
         if (manifest.scenarios[i].complete) {
-          if (join_commit()) break;
+          if (worker.wait()) break;
           outcome.skipped = true;
           outcome.status = manifest.scenarios[i];
           static auto& skipped = scenario_counter("outcome=\"skipped\"");
           skipped.inc();
-          const std::lock_guard<std::mutex> lock(mutex);
-          ++report.skipped;
-          if (progress) progress(outcome);
+          {
+            const std::lock_guard<std::mutex> lock(mutex);
+            ++report.skipped;
+            if (progress) progress(outcome);
+          }
+          i = claim();
           continue;
         }
         ScenarioCommit done = run_on_lane(specs[i], options, store, &cache);
-        if (join_commit()) break;  // this scenario stays pending
-        outcome.status = done.status;
-        commit = std::jthread([&, &outcome = outcomes[i],
-                               done = std::move(done)] {
-          try {
-            util::trace::Span span("commit", outcome.name);
-            finish_scenario(done, options, store);
-            const std::lock_guard<std::mutex> lock(mutex);
-            store.record_complete(outcome.status);
-            ++report.executed;
-            if (progress) progress(outcome);
-          } catch (...) {
-            commit_error = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-          }
-        });
+        done.index = i;
+        if (worker.wait()) break;  // this scenario stays pending
+        // Claimed before the post: the lane computes its next scenario
+        // beside this commit whether or not the commit fails.
+        i = claim();
+        worker.post(std::move(done));
       }
     } catch (...) {
       failed.store(true, std::memory_order_relaxed);
       // The earlier scenario's failure wins.
-      if (join_commit()) std::rethrow_exception(commit_error);
+      if (const std::exception_ptr error = worker.wait()) {
+        std::rethrow_exception(error);
+      }
       throw;
     }
-    if (join_commit()) std::rethrow_exception(commit_error);
+    if (const std::exception_ptr error = worker.wait()) {
+      std::rethrow_exception(error);
+    }
   });
 
   report.outcomes = std::move(outcomes);
@@ -503,14 +644,16 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
   return report;
 }
 
+/// Throws naming the first name in spec order that an earlier spec
+/// already holds.
 void check_unique_names(const std::vector<ScenarioSpec>& specs) {
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    for (std::size_t j = i + 1; j < specs.size(); ++j) {
-      if (specs[i].name == specs[j].name) {
-        throw ScenarioError("campaign holds two scenarios named \"" +
-                            specs[i].name +
-                            "\" (names key the result store; rename one)");
-      }
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(specs.size());
+  for (const ScenarioSpec& spec : specs) {
+    if (!seen.insert(spec.name).second) {
+      throw ScenarioError("campaign holds two scenarios named \"" +
+                          spec.name +
+                          "\" (names key the result store; rename one)");
     }
   }
 }

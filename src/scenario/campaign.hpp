@@ -15,12 +15,15 @@
 //
 // Scheduling: scenarios are the unit of parallelism and the campaign's
 // only parallel level. util::run_parallel runs min(jobs, scenarios to
-// run) lanes, each claiming the next scenario in spec order and running
-// its optimizer, archive CSVs and post-scenario hook on the lane's own
-// thread, so at most `jobs` scenarios are in flight. The lane then hands
-// the scenario's fsync'd tail (summary.json, the manifest record and the
-// `progress` report) to a commit thread of its own and claims the next
-// scenario; it joins that thread before its next commit, before it
+// run) lanes, each claiming the next scenario in spec order, so at most
+// `jobs` scenarios are in flight. Inside `scenario:<name>` the lane runs
+// only the optimizer with its progress sink (span `evaluate`) and the
+// post-scenario hook. It then posts the scenario to its one long-lived
+// commit worker and computes the next scenario meanwhile. On the worker,
+// inside `commit:<name>`, run the lifetime recompute (span
+// `lifetime`), the rest of progress.jsonl, pareto.csv and feasible.csv
+// (span `persist`), summary.json, the manifest record and the `progress`
+// report. The lane waits for its worker before its next post, before it
 // reports a skipped scenario and before it exits, so it has at most one
 // commit in flight. At jobs 1 the scenarios run in spec order on the
 // calling thread, and commits and reports follow in spec order.
@@ -95,13 +98,16 @@ dse::Objectives hv_reference_point(const ScenarioSpec& spec);
 /// text or bucket bounds differ.
 util::metrics::Histogram& scenario_seconds_histogram();
 
-/// Called after a scenario's archive CSVs are on disk but *before* its
-/// summary.json and the manifest record that marks it complete — a crash
-/// mid-hook leaves the scenario pending, so resume re-runs scenario + hook
-/// and reproduces both. The validate subsystem installs its Monte Carlo
-/// validator here (`wsnex run --validate`); the scenario layer itself
-/// stays independent of the modules above it. The hook runs on the
-/// scenario's lane, never beside the lane's next optimizer.
+/// Called on the scenario's lane right after its optimizer, *before* any
+/// of its result files (archive CSVs, summary.json) and the manifest
+/// record that marks it complete — a crash mid-hook leaves the scenario
+/// pending, so resume re-runs scenario + hook and reproduces both. The
+/// hook must create what it writes itself (ResultStore::write_validation
+/// creates results/<name>/). The validate subsystem installs its Monte
+/// Carlo validator here (`wsnex run --validate`); the scenario layer
+/// itself stays independent of the modules above it. The hook never runs
+/// beside the lane's next optimizer, but may run beside the commit of the
+/// lane's previous scenario.
 using PostScenarioHook = std::function<void(
     const ScenarioSpec& spec, const ScenarioRun& run, ResultStore& store)>;
 
@@ -136,7 +142,10 @@ struct CampaignOptions {
   /// `generation` event — evaluations, archive size, feasible count,
   /// hypervolume w.r.t. hv_reference_point() — to
   /// results/<name>/progress.jsonl as util::events::append_event_json, one
-  /// object per line, flushed per record so the file can be tailed live.
+  /// object per line. Records wait in memory until 250 ms of optimizer
+  /// time have passed since its start or the last write (then the lane
+  /// writes them, creating the file on the first write); the scenario's
+  /// commit writes the rest. `wsnex watch DIR` polls at the same 250 ms.
   /// There `seq` numbers the file's records from 1 and `t` is the
   /// optimizer's elapsed seconds; otherwise each record equals the event
   /// published into `events`. Strictly observational:
@@ -153,17 +162,18 @@ struct CampaignOptions {
   PostScenarioHook post_scenario;
 };
 
-/// Runs one scenario and persists its result files (pareto.csv,
-/// feasible.csv, the post_scenario hook's artifacts, then summary.json)
-/// into `store` — everything except the manifest update, which the caller
-/// serializes via ResultStore::record_complete once the returned status is
-/// safe to publish. The `wsnex serve` job scheduler runs many of these
+/// Runs one scenario and persists its result files (the post_scenario
+/// hook's artifacts, the rest of progress.jsonl, pareto.csv,
+/// feasible.csv, then summary.json) into `store` — everything except the
+/// manifest update, which the caller serializes via
+/// ResultStore::record_complete once the returned status is safe to
+/// publish. The `wsnex serve` job scheduler runs many of these
 /// concurrently, each on its own slot's thread and followed by its own
-/// record_complete; the campaign driver runs the same pieces but writes
-/// summary.json and the manifest record on its lane's commit thread.
-/// Everything here runs on the calling thread and is done when it
-/// returns. The fourth parameter carries nothing: it keeps the call shape
-/// of callers that passed a pool there; pass nullptr.
+/// record_complete; the campaign driver runs the same two parts, the
+/// lane's and the commit, but the commit on its lane's commit worker.
+/// Here both run on the calling thread, with the same spans, and are done
+/// when it returns. The fourth parameter carries nothing: it keeps the
+/// call shape of callers that passed a pool there; pass nullptr.
 ScenarioStatus execute_scenario(const ScenarioSpec& spec,
                                 const CampaignOptions& options,
                                 ResultStore& store, std::nullptr_t,
@@ -192,7 +202,7 @@ struct CampaignReport {
 ///
 /// `progress`, when set, is called after each scenario (executed or
 /// skipped) — the CLI uses it for live per-scenario reporting. For an
-/// executed scenario it is called from the lane's commit thread once the
+/// executed scenario it is called from the lane's commit worker once the
 /// manifest records the scenario complete; calls never overlap, and at
 /// jobs 1 they come in spec order. An exception it throws fails that
 /// commit: the campaign stops as after a failed scenario.

@@ -185,10 +185,14 @@ void ResultStore::initialize(const std::vector<ScenarioSpec>& specs,
     return;
   }
   fs::create_directories(scenario_dir());
+  // Each spec file is fsync'd before its rename; one directory fsync then
+  // makes all N renames durable before the manifest that names them is
+  // written. A crash before it leaves no manifest, so recovery reruns.
   for (const ScenarioSpec& spec : specs) {
     write_file_atomic(spec_path(spec.name), spec.to_json().dump(2),
-                      "result_store.spec");
+                      "result_store.spec", util::RenameSync::kDeferred);
   }
+  util::fsync_dir(scenario_dir());
   CampaignManifest manifest;
   manifest.quick = quick;
   manifest.scenarios.reserve(specs.size());

@@ -69,7 +69,9 @@ class ResultStore {
   static bool exists(const std::string& root);
 
   /// Creates the directory tree, freezes every spec under scenarios/ and
-  /// writes an all-pending manifest. When a manifest already exists the
+  /// writes an all-pending manifest: N + 3 fsyncs for N specs (one per
+  /// spec file, one for scenarios/ after every rename, two for the
+  /// manifest). When a manifest already exists the
   /// stored specs must match `specs` exactly (same scenarios, same
   /// contents) and the existing progress is kept — reissuing `wsnex run`
   /// on a finished or half-finished campaign is a no-op/resume, never a

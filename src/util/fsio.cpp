@@ -66,28 +66,6 @@ void write_all(int fd, const char* data, std::size_t size,
   }
 }
 
-/// Makes the rename itself durable: fsync the directory that holds the
-/// new entry. A failure here is logged but not thrown — the rename has
-/// already happened, the contents are visible, and unwinding would make
-/// the caller treat a completed write as failed. Some filesystems reject
-/// fsync on directory fds (EINVAL); that is expected and silent.
-void fsync_parent_dir(const std::string& path) {
-  const fs::path parent = fs::path(path).parent_path();
-  const std::string dir = parent.empty() ? "." : parent.string();
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    WSNEX_WARN() << "cannot open " << dir
-                 << " to fsync after rename: " << std::strerror(errno);
-    return;
-  }
-  fsyncs_total().inc();
-  if (::fsync(fd) != 0 && errno != EINVAL && errno != ENOTSUP) {
-    WSNEX_WARN() << "fsync of " << dir
-                 << " failed after rename: " << std::strerror(errno);
-  }
-  ::close(fd);
-}
-
 #endif  // !_WIN32
 
 }  // namespace
@@ -104,8 +82,30 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+// A failure here is logged but not thrown — the renames have already
+// happened, the contents are visible, and unwinding would make the caller
+// treat a completed write as failed.
+void fsync_dir(const std::string& dir) {
+#if !defined(_WIN32)
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    WSNEX_WARN() << "cannot open " << dir
+                 << " to fsync after rename: " << std::strerror(errno);
+    return;
+  }
+  fsyncs_total().inc();
+  if (::fsync(fd) != 0 && errno != EINVAL && errno != ENOTSUP) {
+    WSNEX_WARN() << "fsync of " << dir
+                 << " failed after rename: " << std::strerror(errno);
+  }
+  ::close(fd);
+#else
+  (void)dir;
+#endif
+}
+
 void write_file_atomic(const std::string& path, const std::string& contents,
-                       const char* site) {
+                       const char* site, RenameSync sync) {
   std::string_view payload = contents;
   if (site != nullptr) {
     const auto fault = failpoint::evaluate(site);
@@ -166,8 +166,12 @@ void write_file_atomic(const std::string& path, const std::string& contents,
     errno = err;
     throw_errno("cannot rename " + tmp + " to " + path);
   }
-  fsync_parent_dir(path);
+  if (sync == RenameSync::kNow) {
+    const fs::path parent = fs::path(path).parent_path();
+    fsync_dir(parent.empty() ? "." : parent.string());
+  }
 #else
+  (void)sync;
   // No POSIX fd plumbing on Windows: keep the atomic temp+rename shape,
   // durable only as far as the OS page cache.
   {

@@ -125,10 +125,10 @@ TEST_F(CrashRecoveryTest, CrashAtEveryPersistSiteResumesBitIdentical) {
   }
 }
 
-// A lane commits scenario 0 while it computes scenario 1. When scenario
-// 0's summary.json cannot be written (ENOSPC), run_campaign throws the
-// FileError, scenario 1 is not committed either, and a resume writes the
-// reference archives.
+// A lane's commit worker commits scenario 0 while the lane computes
+// scenario 1. When scenario 0's summary.json cannot be written (ENOSPC),
+// run_campaign throws the FileError, scenario 1 is not committed either,
+// and a resume writes the reference archives.
 TEST_F(CrashRecoveryTest, FailedSummaryWriteLeavesBothScenariosPending) {
   if (!fp::compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
   const std::vector<scenario::ScenarioSpec> specs{
@@ -140,6 +140,49 @@ TEST_F(CrashRecoveryTest, FailedSummaryWriteLeavesBothScenariosPending) {
   fp::configure("result_store.summary=error(28)#1");
   EXPECT_THROW(scenario::run_campaign(specs, o), util::FileError);
   fp::reset();
+
+  const scenario::ResultStore store(dir("a"));
+  const scenario::CampaignManifest manifest = store.load_manifest();
+  ASSERT_EQ(manifest.scenarios.size(), 2u);
+  EXPECT_FALSE(manifest.scenarios[0].complete);
+  EXPECT_FALSE(manifest.scenarios[1].complete);
+  EXPECT_EQ(store.sweep_stale_temp_files(), 0u);
+
+  EXPECT_TRUE(scenario::resume_campaign(dir("a")).complete);
+  const scenario::ResultStore ref(dir("ref"));
+  for (const scenario::ScenarioSpec& spec : specs) {
+    EXPECT_EQ(read_file(store.pareto_csv_path(spec.name)),
+              read_file(ref.pareto_csv_path(spec.name)))
+        << spec.name;
+    EXPECT_EQ(read_file(store.feasible_csv_path(spec.name)),
+              read_file(ref.feasible_csv_path(spec.name)))
+        << spec.name;
+  }
+}
+
+// The lane's commit worker writes scenario 0's archives while the lane
+// runs scenario 1's optimizer and hook. When scenario 0's persist fails
+// (ENOSPC), run_campaign throws the FileError after both hooks ran,
+// neither scenario is committed, and a resume writes the reference
+// archives.
+TEST_F(CrashRecoveryTest,
+       FailedPersistOnTheCommitWorkerLeavesBothScenariosPending) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  const std::vector<scenario::ScenarioSpec> specs{
+      scenario::preset("hospital_ward_2"), scenario::preset("hospital_ward_3")};
+  ASSERT_TRUE(scenario::run_campaign(specs, options(dir("ref"))).complete);
+
+  std::vector<std::string> hooked;  // the hooks run on the lane
+  scenario::CampaignOptions o = options(dir("a"));
+  o.jobs = 1;
+  o.post_scenario = [&](const scenario::ScenarioSpec& spec,
+                        const scenario::ScenarioRun&, scenario::ResultStore&) {
+    hooked.push_back(spec.name);
+  };
+  fp::configure("campaign.persist=error(28)#1");
+  EXPECT_THROW(scenario::run_campaign(specs, o), util::FileError);
+  fp::reset();
+  EXPECT_EQ(hooked, (std::vector<std::string>{specs[0].name, specs[1].name}));
 
   const scenario::ResultStore store(dir("a"));
   const scenario::CampaignManifest manifest = store.load_manifest();

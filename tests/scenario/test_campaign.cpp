@@ -286,11 +286,11 @@ TEST_F(CampaignTest, FailedCommitLeavesTheNextScenariosPending) {
   expect_same_archives(specs, dir("clean"), dir("a"));
 }
 
-// At jobs 1 the lane commits scenario 0 (summary.json, manifest record,
-// progress report) on a thread of its own and computes scenario 1
-// meanwhile, so scenario 0's report can wait for scenario 1's hook. A lane
-// that committed scenario 0 itself would run hook 1 only after report 0
-// returned, and the wait would time out.
+// At jobs 1 the lane's commit worker commits scenario 0 (archives,
+// summary.json, manifest record, progress report) while the lane computes
+// scenario 1, so scenario 0's report can wait for scenario 1's hook. A
+// lane that committed scenario 0 itself would run hook 1 only after
+// report 0 returned, and the wait would time out.
 TEST_F(CampaignTest, NextScenarioRunsWhileTheLastCommits) {
   const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
                                                preset("hospital_ward_3")};
@@ -325,10 +325,11 @@ TEST_F(CampaignTest, NextScenarioRunsWhileTheLastCommits) {
                                                  specs[1].name}));
 }
 
-// Overlapping commits drop no fsync: initialize freezes each spec (file
-// and directory: 2 each) and writes the all-pending manifest (2), and each
-// scenario adds its summary.json (2) and its manifest record (2).
-TEST_F(CampaignTest, TwoScenarioCampaignIssuesFourteenFsyncs) {
+// Overlapping commits drop no fsync: initialize fsyncs each frozen spec
+// file (1 each), then the scenarios/ directory once (1) and writes the
+// all-pending manifest (2), and each scenario adds its summary.json (2)
+// and its manifest record (2).
+TEST_F(CampaignTest, TwoScenarioCampaignIssuesThirteenFsyncs) {
   const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
                                                preset("hospital_ward_3")};
   // Looked up by name; the help text of the first registration is kept.
@@ -338,7 +339,7 @@ TEST_F(CampaignTest, TwoScenarioCampaignIssuesFourteenFsyncs) {
   CampaignOptions o = options(dir("a"));
   o.jobs = 1;
   EXPECT_TRUE(run_campaign(specs, o).complete);
-  EXPECT_EQ(fsyncs.value() - before, 2.0 * 2 + 2 + 4.0 * 2);
+  EXPECT_EQ(fsyncs.value() - before, 2.0 + 1 + 2 + 4.0 * 2);
 }
 
 TEST_F(CampaignTest, JobsCapsScenariosInFlight) {
@@ -440,6 +441,24 @@ TEST_F(CampaignTest, RejectsEmptyAndDuplicateCampaigns) {
                                              preset("hospital_ward_2")};
   EXPECT_THROW(run_campaign(dup, options(dir("a"))), ScenarioError);
   EXPECT_THROW(resume_campaign(dir("nothing_here")), ScenarioError);
+}
+
+// 2,000 distinct names and one repeat at the end: the error names the
+// repeated name, and nothing is written.
+TEST_F(CampaignTest, DuplicateAmongTwoThousandNamesIsNamed) {
+  std::vector<ScenarioSpec> specs(2000, preset("hospital_ward_2"));
+  for (std::size_t i = 0; i + 1 < specs.size(); ++i) {
+    specs[i].name = "ward_" + std::to_string(i);
+  }
+  specs.back().name = "ward_1234";
+  try {
+    run_campaign(specs, options(dir("a")));
+    ADD_FAILURE() << "a repeated name was accepted";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"ward_1234\""), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(dir("a")));
 }
 
 TEST_F(CampaignTest, FeasibleCsvIsSortedByEnergyAndRespectsConstraints) {
@@ -798,53 +817,97 @@ TEST_F(CampaignTest, EventRingCapturesLifecycleAndGenerations) {
   }
 }
 
-// Trace spans must nest correctly even when two scenarios run concurrently:
-// every evaluate/lifetime/persist span lies inside a scenario span on the
-// *same thread*, and both scenario spans appear.
-TEST_F(CampaignTest, TraceSpansNestUnderParallelJobs) {
-  const fs::path trace_path = root_ / "campaign.trace.json";
-  fs::create_directories(root_);
-  ASSERT_TRUE(util::trace::start(trace_path.string()));
-  CampaignOptions o = options(dir("a"));
-  o.jobs = 2;
-  run_campaign({preset("hospital_ward_2"), preset("hospital_ward_3")}, o);
-  ASSERT_TRUE(util::trace::stop());
+/// One span of a Chrome trace file.
+struct TraceSpan {
+  std::string name;
+  std::int64_t tid = 0;
+  double ts = 0.0, dur = 0.0;
 
+  /// `inner` lies within this span on the same thread.
+  bool holds(const TraceSpan& inner) const {
+    return inner.tid == tid && inner.ts >= ts &&
+           inner.ts + inner.dur <= ts + dur + 1.0;
+  }
+};
+
+/// Runs `specs` as a traced campaign at `jobs` and returns its spans.
+std::vector<TraceSpan> traced_campaign(const fs::path& root,
+                                       const std::vector<ScenarioSpec>& specs,
+                                       std::size_t jobs) {
+  const fs::path trace_path = root / "campaign.trace.json";
+  fs::create_directories(root);
+  EXPECT_TRUE(util::trace::start(trace_path.string()));
+  CampaignOptions o;
+  o.out_dir = (root / "a").string();
+  o.quick = true;
+  o.jobs = jobs;
+  run_campaign(specs, o);
+  EXPECT_TRUE(util::trace::stop());
+
+  std::vector<TraceSpan> spans;
   const util::Json trace = util::Json::parse(read_file(trace_path));
-  const auto& spans = trace.at("traceEvents").as_array();
-  struct Rec {
-    std::string name;
-    std::int64_t tid = 0;
-    double ts = 0.0, dur = 0.0;
-  };
-  std::vector<Rec> scenario_spans, phase_spans;
-  for (const util::Json& span : spans) {
-    Rec rec;
-    rec.name = span.at("name").as_string();
-    rec.tid = span.at("tid").as_int64();
-    rec.ts = span.at("ts").as_double();
-    rec.dur = span.at("dur").as_double();
-    if (rec.name.rfind("scenario:", 0) == 0) {
-      scenario_spans.push_back(rec);
-    } else if (rec.name == "evaluate" || rec.name == "lifetime" ||
-               rec.name == "persist") {
-      phase_spans.push_back(rec);
+  for (const util::Json& span : trace.at("traceEvents").as_array()) {
+    spans.push_back({span.at("name").as_string(), span.at("tid").as_int64(),
+                     span.at("ts").as_double(), span.at("dur").as_double()});
+  }
+  return spans;
+}
+
+// Trace spans must nest correctly even when two scenarios run
+// concurrently: every `evaluate` span lies inside a `scenario:<name>` span
+// on the same thread (the lane), every `lifetime` and `persist` span inside
+// a `commit:<name>` span on the same thread (the lane's commit worker), and
+// every scenario has both.
+TEST_F(CampaignTest, TraceSpansNestUnderParallelJobs) {
+  const std::vector<TraceSpan> spans = traced_campaign(
+      root_, {preset("hospital_ward_2"), preset("hospital_ward_3")}, 2);
+  std::vector<TraceSpan> scenario_spans, commit_spans, phase_spans;
+  for (const TraceSpan& span : spans) {
+    if (span.name.rfind("scenario:", 0) == 0) {
+      scenario_spans.push_back(span);
+    } else if (span.name.rfind("commit:", 0) == 0) {
+      commit_spans.push_back(span);
+    } else if (span.name == "evaluate" || span.name == "lifetime" ||
+               span.name == "persist") {
+      phase_spans.push_back(span);
     }
   }
   ASSERT_EQ(scenario_spans.size(), 2u);
-  ASSERT_FALSE(phase_spans.empty());
-  for (const Rec& phase : phase_spans) {
-    bool nested = false;
-    for (const Rec& parent : scenario_spans) {
-      if (phase.tid == parent.tid && phase.ts >= parent.ts &&
-          phase.ts + phase.dur <= parent.ts + parent.dur + 1.0) {
-        nested = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(nested) << phase.name << " span not nested in any scenario "
-                        << "span on its thread";
+  ASSERT_EQ(commit_spans.size(), 2u);
+  ASSERT_EQ(phase_spans.size(), 6u);
+  for (const TraceSpan& phase : phase_spans) {
+    const std::vector<TraceSpan>& parents =
+        phase.name == "evaluate" ? scenario_spans : commit_spans;
+    EXPECT_TRUE(std::any_of(parents.begin(), parents.end(),
+                            [&](const TraceSpan& parent) {
+                              return parent.holds(phase);
+                            }))
+        << phase.name << " span not nested in a "
+        << (phase.name == "evaluate" ? "scenario" : "commit")
+        << " span on its thread";
   }
+}
+
+// A jobs-1 campaign records spans on two threads, whatever its length: the
+// lane and its one commit worker, which commits every scenario.
+TEST_F(CampaignTest, TracedSerialCampaignUsesTwoThreads) {
+  const std::vector<ScenarioSpec> specs = {
+      preset("hospital_ward_2"), preset("hospital_ward_3"),
+      preset("hospital_ward_4"), preset("all_cs_6"),
+      preset("low_battery_6"),   preset("relaxed_quality_mosa_6")};
+  const std::vector<TraceSpan> spans = traced_campaign(root_, specs, 1);
+  std::vector<std::int64_t> tids, commit_tids;
+  for (const TraceSpan& span : spans) {
+    tids.push_back(span.tid);
+    if (span.name.rfind("commit:", 0) == 0) commit_tids.push_back(span.tid);
+  }
+  std::sort(tids.begin(), tids.end());
+  tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
+  EXPECT_EQ(tids.size(), 2u);
+  ASSERT_EQ(commit_tids.size(), specs.size());
+  EXPECT_EQ(std::count(commit_tids.begin(), commit_tids.end(),
+                       commit_tids.front()),
+            static_cast<std::ptrdiff_t>(specs.size()));
 }
 
 }  // namespace

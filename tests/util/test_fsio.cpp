@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace wsnex::util {
 namespace {
@@ -64,6 +65,28 @@ TEST_F(FsioTest, OverwriteReplacesWithoutLeavingTempDebris) {
   write_file_atomic(path, "second");
   EXPECT_EQ(read_file(path), "second");
   EXPECT_EQ(entries(), std::vector<std::string>{"state.json"});
+}
+
+// A batch of deferred renames costs one fsync per file and one for the
+// directory, where immediate ones cost two per file.
+TEST_F(FsioTest, DeferredRenamesShareOneDirectoryFsync) {
+  // Looked up by name; the help text of the first registration is kept.
+  const metrics::Counter& fsyncs =
+      metrics::Registry::instance().counter("wsnex_fsyncs_total", "");
+  double before = fsyncs.value();
+  write_file_atomic((root_ / "now.json").string(), "1");
+  EXPECT_EQ(fsyncs.value() - before, 2.0);
+
+  before = fsyncs.value();
+  for (const char* name : {"a.json", "b.json", "c.json"}) {
+    write_file_atomic((root_ / name).string(), name, nullptr,
+                      RenameSync::kDeferred);
+  }
+  EXPECT_EQ(fsyncs.value() - before, 3.0);
+  fsync_dir(root_.string());
+  EXPECT_EQ(fsyncs.value() - before, 4.0);
+  EXPECT_EQ(read_file((root_ / "b.json").string()), "b.json");
+  EXPECT_EQ(entries().size(), 4u);  // no temp debris
 }
 
 TEST_F(FsioTest, ReadMissingFileThrowsWithErrno) {

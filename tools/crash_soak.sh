@@ -7,8 +7,9 @@
 # (exit 86), recovers the way an operator would (`wsnex resume` when the
 # campaign manifest exists, re-issued `wsnex run` when the crash predates
 # it), and byte-compares the recovered archives against the reference.
-# A two-scenario `--jobs 1` leg then crashes each commit site (summary,
-# manifest record) while the lane already runs the second optimizer. A
+# A two-scenario `--jobs 1` leg then crashes each commit site (archives,
+# summary, manifest record) while the lane already runs the second
+# optimizer. A
 # final leg tears the PRD calibration disk cache mid-write and checks a
 # warm rerun degrades to recompute with identical archives.
 #
@@ -89,8 +90,8 @@ for entry in "${SITES[@]}"; do
   crash_leg "${entry%%:*}" "${entry#*:}" "$REF" "$SCENARIO"
 done
 
-# Two scenarios: the lane commits the first one's summary.json and
-# manifest record on a thread of its own while it runs the second one's
+# Two scenarios: the lane's commit worker writes the first one's archives,
+# summary.json and manifest record while the lane runs the second one's
 # optimizer, so these crashes land mid-optimizer. Manifest evaluation 2
 # records the first scenario, evaluation 3 the second.
 PAIR=(hospital_ward_2 hospital_ward_3)
@@ -99,6 +100,7 @@ PAIR_REF="$WORK/pair_ref"
 WSNEX_FAILPOINTS= "$BIN" run "${PAIR[@]}" -o "$PAIR_REF" --quick --jobs 1 \
   >/dev/null || { echo "two-scenario reference failed" >&2; exit 1; }
 PAIR_SITES=(
+  "pair_persist:campaign.persist=crash"
   "pair_summary:result_store.summary=crash"
   "pair_summary_rename:result_store.summary.rename=crash"
   "pair_manifest2:result_store.manifest=crash#2"
