@@ -138,9 +138,12 @@ void write_archive_csv(const std::string& path,
     }
     csv.write_row(fields);
   }
-  // A failed write (a full disk) throws here, before the summary and the
-  // manifest record the scenario complete: it stays pending for a resume.
+  // A failed write (a full disk) throws here, before the summary records
+  // the scenario complete: it stays pending for a resume. The fsync makes
+  // the rows durable before that record; the summary's directory fsync
+  // then makes this file's directory entry durable too.
   csv.close();
+  util::fsync_file(path);
 }
 
 util::Json make_summary(const ScenarioSpec& spec, const ScenarioRun& run,
@@ -365,11 +368,11 @@ ScenarioCommit run_on_lane(const ScenarioSpec& spec,
                         start_s};
 }
 
-/// A scenario's commit, short of its manifest record: the feasibility
-/// screen and lifetime recompute (span `lifetime`), the rest of
-/// progress.jsonl, pareto.csv and feasible.csv then the `campaign.persist`
-/// fault site (span `persist`), and summary.json (fsync'd). Returns the
-/// status the manifest record publishes. The caller opens the
+/// A scenario's commit: the feasibility screen and lifetime recompute
+/// (span `lifetime`), the rest of progress.jsonl, pareto.csv and
+/// feasible.csv (each fsync'd) then the `campaign.persist` fault site
+/// (span `persist`), and last summary.json, which completes the scenario.
+/// Returns the status that summary records. The caller opens the
 /// `commit:<name>` span.
 ScenarioStatus commit_scenario(ScenarioCommit& commit,
                                const CampaignOptions& options,
@@ -404,9 +407,9 @@ ScenarioStatus commit_scenario(ScenarioCommit& commit,
                       run.space);
     write_archive_csv(store.feasible_csv_path(spec.name), run.result.archive,
                       feasible, lifetime_days, run.space);
-    // Mid-persist fault site: archives on disk, summary + manifest not yet
-    // written — the scenario stays pending and a resume regenerates the
-    // CSVs bit-identically. Torn counts as an error here (the CSV writer
+    // Mid-persist fault site: archives on disk, summary not yet written —
+    // the scenario stays pending and a resume regenerates the CSVs
+    // bit-identically. Torn counts as an error here (the CSV writer
     // is not atomic; a partial archive must abort, not "succeed").
     if (const auto fault = util::failpoint::evaluate("campaign.persist")) {
       errno = fault.error_errno != 0 ? fault.error_errno : EIO;
@@ -532,16 +535,18 @@ class CommitWorker {
 /// claims the next spec index until the outcome prefix is exhausted and
 /// runs that scenario's optimizer and post-scenario hook on its own
 /// thread, so at most `jobs` scenarios are in flight and, at jobs 1, the
-/// specs run in order on the calling thread. The lane posts everything
-/// else (lifetime recompute, progress.jsonl, the archive CSVs,
-/// summary.json, the manifest record and the progress report) to its
-/// commit worker and computes the next scenario meanwhile; it waits for
-/// the worker before its next post, before it reports a skipped scenario
-/// and before it exits, so at jobs 1 commits and reports stay in spec
-/// order. Result files do not depend on the lane count: each scenario is
-/// individually deterministic and the archives are written in canonical
-/// order; only the order of progress reports differs.
+/// specs run in order on the calling thread. `statuses` are the store's,
+/// in spec order. The lane posts everything else (lifetime recompute,
+/// progress.jsonl, the archive CSVs, summary.json and the progress
+/// report) to its commit worker and computes the next scenario
+/// meanwhile; it waits for the worker before its next post, before it
+/// reports a skipped scenario and before it exits, so at jobs 1 commits
+/// and reports stay in spec order. Result files do not depend on the
+/// lane count: each scenario is individually deterministic and the
+/// archives are written in canonical order; only the order of progress
+/// reports differs.
 CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
+                              const std::vector<ScenarioStatus>& statuses,
                               const CampaignOptions& options,
                               ResultStore& store,
                               const std::function<void(const CampaignOutcome&)>&
@@ -552,13 +557,12 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
                      "calibration was already computed";
   }
   dse::SharedEvalCache& cache = dse::SharedEvalCache::instance();
-  const CampaignManifest manifest = store.load_manifest();
   // abort_after simulates a kill: the outcomes cover the spec prefix
   // before the first pending scenario beyond the limit.
   std::size_t cutoff = specs.size();
   std::size_t pending = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (manifest.scenarios[i].complete) continue;
+    if (statuses[i].complete) continue;
     if (options.abort_after != 0 && pending == options.abort_after) {
       cutoff = i;
       break;
@@ -571,7 +575,7 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
       std::max<std::size_t>(1, std::min(options.jobs, pending));
   CampaignReport report;
   std::vector<CampaignOutcome> outcomes(cutoff);
-  std::mutex mutex;  // guards the manifest, `report` and `progress`
+  std::mutex mutex;  // guards `report` and `progress`
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   // After a failure no lane claims another scenario; in-flight ones
@@ -588,7 +592,6 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
       util::trace::Span span("commit", outcome.name);
       ScenarioStatus status = commit_scenario(done, options, store);
       const std::lock_guard<std::mutex> lock(mutex);
-      store.record_complete(status);
       outcome.status = std::move(status);
       ++report.executed;
       if (progress) progress(outcome);
@@ -604,10 +607,10 @@ CampaignReport drive_campaign(const std::vector<ScenarioSpec>& specs,
       while (i < cutoff) {
         CampaignOutcome& outcome = outcomes[i];
         outcome.name = specs[i].name;
-        if (manifest.scenarios[i].complete) {
+        if (statuses[i].complete) {
           if (worker.wait()) break;
           outcome.skipped = true;
-          outcome.status = manifest.scenarios[i];
+          outcome.status = statuses[i];
           static auto& skipped = scenario_counter("outcome=\"skipped\"");
           skipped.inc();
           {
@@ -748,7 +751,8 @@ CampaignReport run_campaign(
   check_unique_names(specs);
   ResultStore store(options.out_dir);
   store.initialize(specs, options.quick);
-  return drive_campaign(specs, options, store, progress);
+  return drive_campaign(specs, store.load_manifest().scenarios, options, store,
+                        progress);
 }
 
 CampaignReport resume_campaign(
@@ -774,7 +778,7 @@ CampaignReport resume_campaign(
   options.cache_dir = overrides.cache_dir;
   options.progress = overrides.progress;
   options.post_scenario = overrides.post_scenario;
-  return drive_campaign(specs, options, store, progress);
+  return drive_campaign(specs, manifest.scenarios, options, store, progress);
 }
 
 }  // namespace wsnex::scenario

@@ -10,8 +10,8 @@
 // written in a canonical sort order. So a resumed campaign's result files
 // are byte-identical to an uninterrupted run, and a `jobs=N` campaign's
 // to a serial one (the CI smoke test and tests/scenario/test_campaign.cpp
-// both assert this). Only the summary/manifest wallclock fields differ
-// between runs.
+// both assert this). Only the summary's wallclock fields differ between
+// runs; campaign.json is a header written once, so it is byte-identical.
 //
 // Scheduling: scenarios are the unit of parallelism and the campaign's
 // only parallel level. util::run_parallel runs min(jobs, scenarios to
@@ -22,11 +22,12 @@
 // commit worker and computes the next scenario meanwhile. On the worker,
 // inside `commit:<name>`, run the lifetime recompute (span
 // `lifetime`), the rest of progress.jsonl, pareto.csv and feasible.csv
-// (span `persist`), summary.json, the manifest record and the `progress`
-// report. The lane waits for its worker before its next post, before it
-// reports a skipped scenario and before it exits, so it has at most one
-// commit in flight. At jobs 1 the scenarios run in spec order on the
-// calling thread, and commits and reports follow in spec order.
+// (span `persist`), then summary.json, which completes the scenario, and
+// the `progress` report. The lane waits for its worker before its next
+// post, before it reports a skipped scenario and before it exits, so it
+// has at most one commit in flight. At jobs 1 the scenarios run in spec
+// order on the calling thread, and commits and reports follow in spec
+// order.
 #pragma once
 
 #include <cstddef>
@@ -98,14 +99,14 @@ dse::Objectives hv_reference_point(const ScenarioSpec& spec);
 /// text or bucket bounds differ.
 util::metrics::Histogram& scenario_seconds_histogram();
 
-/// Called on the scenario's lane right after its optimizer, *before* any
-/// of its result files (archive CSVs, summary.json) and the manifest
-/// record that marks it complete — a crash mid-hook leaves the scenario
-/// pending, so resume re-runs scenario + hook and reproduces both. The
-/// hook must create what it writes itself (ResultStore::write_validation
-/// creates results/<name>/). The validate subsystem installs its Monte
-/// Carlo validator here (`wsnex run --validate`); the scenario layer
-/// itself stays independent of the modules above it. The hook never runs
+/// Called on the scenario's lane right after its optimizer, *before* the
+/// archives and the summary that completes the scenario — a crash
+/// mid-hook leaves the scenario pending, so resume re-runs scenario +
+/// hook and reproduces both. The hook must create what it writes itself
+/// (ResultStore::write_validation creates results/<name>/). The validate
+/// subsystem installs its Monte Carlo validator here (`wsnex run
+/// --validate`); the scenario layer itself stays independent of the
+/// modules above it. The hook never runs
 /// beside the lane's next optimizer, but may run beside the commit of the
 /// lane's previous scenario.
 using PostScenarioHook = std::function<void(
@@ -115,14 +116,14 @@ using PostScenarioHook = std::function<void(
 struct CampaignOptions {
   std::string out_dir;  ///< result-store root (created if absent)
   bool quick = false;   ///< shrink every scenario's budget (recorded in the
-                        ///< manifest; resume inherits it)
+                        ///< campaign.json header; resume inherits it)
   /// Unset, 0 or 1: each scenario's optimizer runs on its lane's thread.
   /// Any larger value throws std::invalid_argument naming `jobs`, the
   /// knob that spreads a campaign over threads. The specs'
   /// optimizer.threads are not consulted.
   std::optional<std::size_t> threads;
   /// Testing hook: stop (as if killed) after this many scenarios have been
-  /// *executed* in this invocation; the manifest keeps the rest pending so
+  /// *executed* in this invocation; the rest stay pending (no summary) so
   /// a resume can pick them up. 0 = no limit.
   std::size_t abort_after = 0;
   /// Maximum scenarios in flight (`wsnex run --jobs N`); 0 and 1 run them
@@ -164,13 +165,11 @@ struct CampaignOptions {
 
 /// Runs one scenario and persists its result files (the post_scenario
 /// hook's artifacts, the rest of progress.jsonl, pareto.csv,
-/// feasible.csv, then summary.json) into `store` — everything except the
-/// manifest update, which the caller serializes via
-/// ResultStore::record_complete once the returned status is safe to
-/// publish. The `wsnex serve` job scheduler runs many of these
-/// concurrently, each on its own slot's thread and followed by its own
-/// record_complete; the campaign driver runs the same two parts, the
-/// lane's and the commit, but the commit on its lane's commit worker.
+/// feasible.csv, then summary.json) into `store`; it returns with the
+/// scenario complete in the store, and the status its summary records.
+/// The `wsnex serve` job scheduler runs many of these concurrently, each
+/// on its own slot's thread; the campaign driver runs the same two parts,
+/// the lane's and the commit, but the commit on its lane's commit worker.
 /// Here both run on the calling thread, with the same spans, and are done
 /// when it returns. The fourth parameter carries nothing: it keeps the
 /// call shape of callers that passed a pool there; pass nullptr.
@@ -197,13 +196,13 @@ struct CampaignReport {
 
 /// Runs a campaign: initializes (or re-attaches to) the result store at
 /// options.out_dir, then runs every scenario not already complete, writing
-/// pareto.csv / feasible.csv / summary.json per scenario and updating the
-/// manifest after each one.
+/// pareto.csv / feasible.csv and last summary.json, its completion record,
+/// per scenario. campaign.json is not rewritten.
 ///
 /// `progress`, when set, is called after each scenario (executed or
 /// skipped) — the CLI uses it for live per-scenario reporting. For an
-/// executed scenario it is called from the lane's commit worker once the
-/// manifest records the scenario complete; calls never overlap, and at
+/// executed scenario it is called from the lane's commit worker once its
+/// summary.json records the scenario complete; calls never overlap, and at
 /// jobs 1 they come in spec order. An exception it throws fails that
 /// commit: the campaign stops as after a failed scenario.
 CampaignReport run_campaign(
@@ -211,8 +210,8 @@ CampaignReport run_campaign(
     const std::function<void(const CampaignOutcome&)>& progress = {});
 
 /// Execution overrides a resume accepts (the campaign's identity — specs
-/// and the quick flag — always comes from the stored manifest; these
-/// knobs never change results).
+/// and the quick flag — always comes from the store; these knobs never
+/// change results).
 struct ResumeOverrides {
   std::size_t abort_after = 0;
   std::size_t jobs = 1;
@@ -220,14 +219,15 @@ struct ResumeOverrides {
   /// Convergence telemetry for the re-executed scenarios (see
   /// CampaignOptions::progress; never changes result files).
   bool progress = true;
-  /// Re-installed on resume (hooks are code, not manifest state; a resume
+  /// Re-installed on resume (hooks are code, not store state; a resume
   /// that wants `--validate` behavior passes the hook again).
   PostScenarioHook post_scenario;
 };
 
 /// Resumes the campaign stored at `out_dir`: loads the frozen specs and
-/// the quick flag from the manifest, skips completed scenarios, runs the
-/// rest.
+/// the quick flag from the store, skips completed scenarios (those with a
+/// summary.json), runs the rest. A format-1 campaign.json is left as it
+/// is.
 CampaignReport resume_campaign(
     const std::string& out_dir, const ResumeOverrides& overrides = {},
     const std::function<void(const CampaignOutcome&)>& progress = {});

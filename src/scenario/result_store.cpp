@@ -19,21 +19,20 @@ namespace {
 using util::read_file;
 using util::write_file_atomic;
 
-util::Json status_to_json(const ScenarioStatus& s) {
-  util::Json json = util::Json::object();
-  json.set("name", s.name);
-  json.set("status", s.complete ? "complete" : "pending");
-  if (s.complete) {
-    json.set("evaluations", s.evaluations);
-    json.set("infeasible", s.infeasible);
-    json.set("front_size", s.front_size);
-    json.set("feasible_size", s.feasible_size);
-    json.set("wallclock_s", s.wallclock_s);
-  }
-  return json;
+/// The statistics a completion record holds: a summary.json, or a
+/// format-1 header's "complete" entry.
+void read_stats(const util::Json& json, ScenarioStatus& s) {
+  s.complete = true;
+  s.evaluations = static_cast<std::size_t>(json.at("evaluations").as_int64());
+  s.infeasible = static_cast<std::size_t>(json.at("infeasible").as_int64());
+  s.front_size = static_cast<std::size_t>(json.at("front_size").as_int64());
+  s.feasible_size =
+      static_cast<std::size_t>(json.at("feasible_size").as_int64());
+  s.wallclock_s = json.at("wallclock_s").as_double();
 }
 
-ScenarioStatus status_from_json(const util::Json& json) {
+/// One scenario entry of a format-1 header.
+ScenarioStatus status_from_v1(const util::Json& json) {
   ScenarioStatus s;
   s.name = json.at("name").as_string();
   const std::string& status = json.at("status").as_string();
@@ -41,15 +40,7 @@ ScenarioStatus status_from_json(const util::Json& json) {
     throw ScenarioError("manifest: unknown scenario status \"" + status +
                         "\" for " + s.name);
   }
-  s.complete = status == "complete";
-  if (s.complete) {
-    s.evaluations = static_cast<std::size_t>(json.at("evaluations").as_int64());
-    s.infeasible = static_cast<std::size_t>(json.at("infeasible").as_int64());
-    s.front_size = static_cast<std::size_t>(json.at("front_size").as_int64());
-    s.feasible_size =
-        static_cast<std::size_t>(json.at("feasible_size").as_int64());
-    s.wallclock_s = json.at("wallclock_s").as_double();
-  }
+  if (status == "complete") read_stats(json, s);
   return s;
 }
 
@@ -144,15 +135,15 @@ void ResultStore::initialize(const std::vector<ScenarioSpec>& specs,
   if (fs::exists(root_)) {
     // A writer that crashed mid-write left `.tmp.*` debris; clear it
     // before anything reads or re-writes the shards. Keyed on the
-    // directory, not the manifest — a crash during the very first
-    // initialize() (spec frozen, manifest never written) leaves debris
+    // directory, not the header — a crash during the very first
+    // initialize() (spec frozen, header never written) leaves debris
     // in a store that exists() does not yet acknowledge.
     sweep_stale_temp_files();
   }
   if (ResultStore::exists(root_)) {
     // Existing campaign: it must be *this* campaign (same scenarios with
     // the same contents and options), in which case prior progress stands.
-    const CampaignManifest manifest = load_manifest();
+    const CampaignManifest manifest = load_header();
     if (manifest.quick != quick) {
       throw ScenarioError(
           root_ + ": existing campaign was " +
@@ -184,27 +175,36 @@ void ResultStore::initialize(const std::vector<ScenarioSpec>& specs,
     }
     return;
   }
+  for (const ScenarioSpec& spec : specs) {
+    if (fs::exists(summary_path(spec.name))) {
+      throw ScenarioError(summary_path(spec.name) +
+                          ": a completion record without a campaign.json; "
+                          "use a fresh output directory");
+    }
+  }
   fs::create_directories(scenario_dir());
   // Each spec file is fsync'd before its rename; one directory fsync then
-  // makes all N renames durable before the manifest that names them is
-  // written. A crash before it leaves no manifest, so recovery reruns.
+  // makes all N renames durable before the header that names them is
+  // written. A crash before it leaves no header, so recovery reruns.
   for (const ScenarioSpec& spec : specs) {
     write_file_atomic(spec_path(spec.name), spec.to_json().dump(2),
                       "result_store.spec", util::RenameSync::kDeferred);
   }
   util::fsync_dir(scenario_dir());
-  CampaignManifest manifest;
-  manifest.quick = quick;
-  manifest.scenarios.reserve(specs.size());
+  util::Json json = util::Json::object();
+  json.set("format_version", 2);
+  json.set("quick", quick);
+  util::Json scenarios = util::Json::array();
   for (const ScenarioSpec& spec : specs) {
-    ScenarioStatus status;
-    status.name = spec.name;
-    manifest.scenarios.push_back(std::move(status));
+    util::Json entry = util::Json::object();
+    entry.set("name", spec.name);
+    scenarios.push_back(std::move(entry));
   }
-  save_manifest(manifest);
+  json.set("scenarios", std::move(scenarios));
+  write_file_atomic(manifest_path(), json.dump(2), "result_store.manifest");
 }
 
-CampaignManifest ResultStore::load_manifest() const {
+CampaignManifest ResultStore::load_header() const {
   util::Json json;
   try {
     json = util::Json::parse(read_file(manifest_path()));
@@ -215,7 +215,7 @@ CampaignManifest ResultStore::load_manifest() const {
   try {
     manifest.format_version =
         static_cast<int>(json.at("format_version").as_int64());
-    if (manifest.format_version != 1) {
+    if (manifest.format_version != 1 && manifest.format_version != 2) {
       throw ScenarioError("unsupported campaign format_version " +
                           std::to_string(manifest.format_version));
     }
@@ -229,10 +229,30 @@ CampaignManifest ResultStore::load_manifest() const {
                           "numerical mode; use a fresh output directory");
     }
     for (const util::Json& s : json.at("scenarios").as_array()) {
-      manifest.scenarios.push_back(status_from_json(s));
+      if (manifest.format_version == 1) {
+        manifest.scenarios.push_back(status_from_v1(s));
+      } else {
+        manifest.scenarios.push_back({.name = s.at("name").as_string()});
+      }
     }
   } catch (const util::JsonTypeError& e) {
     throw ScenarioError(manifest_path() + ": malformed manifest: " + e.what());
+  }
+  return manifest;
+}
+
+CampaignManifest ResultStore::load_manifest() const {
+  CampaignManifest manifest = load_header();
+  for (ScenarioStatus& status : manifest.scenarios) {
+    // A format-1 "complete" keeps its recorded statistics: an older
+    // daemon's validation units wrote no summary.
+    if (status.complete || !fs::exists(summary_path(status.name))) continue;
+    try {
+      read_stats(load_summary(status.name), status);
+    } catch (const util::JsonTypeError& e) {
+      throw ScenarioError(summary_path(status.name) +
+                          ": malformed summary: " + e.what());
+    }
   }
   return manifest;
 }
@@ -242,17 +262,10 @@ ScenarioSpec ResultStore::load_spec(const std::string& name) const {
 }
 
 void ResultStore::record_complete(const ScenarioStatus& status) {
-  CampaignManifest manifest = load_manifest();
-  for (ScenarioStatus& s : manifest.scenarios) {
-    if (s.name == status.name) {
-      s = status;
-      s.complete = true;
-      save_manifest(manifest);
-      return;
-    }
+  if (!fs::exists(summary_path(status.name))) {
+    throw ScenarioError("record_complete: " + summary_path(status.name) +
+                        " does not exist; the scenario is not complete");
   }
-  throw ScenarioError("record_complete: scenario \"" + status.name +
-                      "\" is not part of the campaign at " + root_);
 }
 
 void ResultStore::write_validation(const std::string& name,
@@ -287,18 +300,6 @@ util::Json ResultStore::load_summary(const std::string& name) const {
   } catch (const util::JsonParseError& e) {
     throw ScenarioError(summary_path(name) + ": " + e.what());
   }
-}
-
-void ResultStore::save_manifest(const CampaignManifest& manifest) const {
-  util::Json json = util::Json::object();
-  json.set("format_version", manifest.format_version);
-  json.set("quick", manifest.quick);
-  util::Json scenarios = util::Json::array();
-  for (const ScenarioStatus& s : manifest.scenarios) {
-    scenarios.push_back(status_to_json(s));
-  }
-  json.set("scenarios", std::move(scenarios));
-  write_file_atomic(manifest_path(), json.dump(2), "result_store.manifest");
 }
 
 std::size_t ResultStore::sweep_stale_temp_files() const {

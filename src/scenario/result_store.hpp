@@ -2,21 +2,24 @@
 //
 // Layout under one campaign root directory:
 //
-//   <root>/campaign.json            manifest: options + per-scenario status
+//   <root>/campaign.json            header: options + ordered scenario
+//                                   names, written once by initialize()
 //   <root>/scenarios/<name>.json    frozen specs (the source of truth a
 //                                   resume runs from — not the caller's
 //                                   original files)
 //   <root>/results/<name>/pareto.csv    full Pareto archive
 //   <root>/results/<name>/feasible.csv  entries meeting the clinical
 //                                       constraints, best energy first
-//   <root>/results/<name>/summary.json  run statistics
+//   <root>/results/<name>/summary.json  run statistics; its existence
+//                                       marks the scenario complete
 //
-// Crash-safety protocol: a scenario's result files are written first, the
-// manifest is rewritten (atomically, via temp file + rename) marking it
-// "complete" last. A campaign killed mid-scenario therefore leaves that
-// scenario "pending"; resume re-runs it from scratch and — because the
-// engine is deterministic for a fixed (spec, seed) and thread-count
-// independent — reproduces bit-identical archive files.
+// Crash-safety protocol: a scenario's result files are written and
+// fsync'd first; summary.json is written last (atomically, via fsync'd
+// temp file + rename + directory fsync) and is the scenario's one
+// completion record. A campaign killed mid-scenario therefore leaves no
+// summary for it, so it stays pending; resume re-runs it from scratch and
+// — because the engine is deterministic for a fixed (spec, seed) and
+// thread-count independent — reproduces bit-identical archive files.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +31,8 @@
 
 namespace wsnex::scenario {
 
-/// Per-scenario entry of the campaign manifest. Statistics are only
-/// meaningful once complete == true.
+/// One scenario of the campaign and, once complete, the statistics its
+/// summary.json records.
 struct ScenarioStatus {
   std::string name;
   bool complete = false;
@@ -40,9 +43,9 @@ struct ScenarioStatus {
   double wallclock_s = 0.0;
 };
 
-/// The manifest (campaign.json) contents.
+/// The campaign.json header plus each scenario's completion state.
 struct CampaignManifest {
-  int format_version = 1;
+  int format_version = 2;
   bool quick = false;  ///< campaign ran with reduced budgets
   std::vector<ScenarioStatus> scenarios;
 };
@@ -65,24 +68,36 @@ class ResultStore {
   /// "a/b" vs "a_b") or escaping the store root.
   static std::string shard_id(const std::string& id);
 
-  /// True iff `root` holds a campaign manifest.
+  /// True iff `root` holds a campaign header (campaign.json).
   static bool exists(const std::string& root);
 
   /// Creates the directory tree, freezes every spec under scenarios/ and
-  /// writes an all-pending manifest: N + 3 fsyncs for N specs (one per
-  /// spec file, one for scenarios/ after every rename, two for the
-  /// manifest). When a manifest already exists the
-  /// stored specs must match `specs` exactly (same scenarios, same
-  /// contents) and the existing progress is kept — reissuing `wsnex run`
-  /// on a finished or half-finished campaign is a no-op/resume, never a
-  /// silent overwrite; a mismatch throws ScenarioError.
+  /// writes the campaign.json header (format 2: options and the ordered
+  /// scenario names), which nothing rewrites afterwards: N + 3 fsyncs for
+  /// N specs (one per spec file, one for scenarios/ after every rename,
+  /// two for the header). When a header already exists the stored specs
+  /// must match `specs` exactly (same scenarios, same contents) and the
+  /// existing progress is kept — reissuing `wsnex run` on a finished or
+  /// half-finished campaign is a no-op/resume, never a silent overwrite;
+  /// a mismatch throws ScenarioError. Without a header, a summary.json of
+  /// one of `specs` already in the directory throws ScenarioError naming
+  /// it before anything is written: a record left by a deleted campaign
+  /// must not pass as this campaign's result.
   void initialize(const std::vector<ScenarioSpec>& specs, bool quick);
 
+  /// Names and order come from the header. A scenario is complete iff its
+  /// summary.json exists, and its statistics are read from that file; a
+  /// summary that does not parse throws ScenarioError naming its path. A
+  /// format-1 header (written by older builds, which rewrote it after
+  /// every scenario) still loads: an entry it marks complete keeps the
+  /// statistics it recorded, any other is complete iff its summary
+  /// exists.
   CampaignManifest load_manifest() const;
   ScenarioSpec load_spec(const std::string& name) const;
 
-  /// Marks one scenario complete with its statistics (atomic rewrite of
-  /// the manifest). Call only after its result files are on disk.
+  /// Writes nothing: summary.json is the completion record. Throws
+  /// ScenarioError unless the scenario's summary exists. Kept for callers
+  /// that still publish a completion after execute_scenario.
   void record_complete(const ScenarioStatus& status);
 
   /// Result-file paths for one scenario (creates results/<name>/ on
@@ -107,8 +122,10 @@ class ResultStore {
 
   void ensure_result_dir(const std::string& name) const;
 
-  /// Writes `summary` (arbitrary JSON produced by the campaign runner) to
-  /// summary_path(name).
+  /// Writes `summary` (JSON produced by the campaign runner) to
+  /// summary_path(name), atomically; this completes the scenario, so
+  /// write it last. It must carry the five ScenarioStatus statistics
+  /// (evaluations, infeasible, front_size, feasible_size, wallclock_s).
   void write_summary(const std::string& name, const util::Json& summary) const;
   util::Json load_summary(const std::string& name) const;
 
@@ -126,7 +143,9 @@ class ResultStore {
   std::size_t sweep_stale_temp_files() const;
 
  private:
-  void save_manifest(const CampaignManifest& manifest) const;
+  /// campaign.json parsed: options and names, plus the statuses a
+  /// format-1 header recorded (every scenario pending under format 2).
+  CampaignManifest load_header() const;
 
   std::string root_;
 };

@@ -10,10 +10,11 @@
 // escape the data directory nor collide with each other — plus a job.json
 // record whose atomic rewrites track the job through its lifecycle.
 //
-// Crash protocol mirrors the campaign store: the shard's ResultStore (and
-// its frozen specs) is initialized before job.json appears, and job.json
-// is the admission record — a shard without job.json is an aborted submit
-// and is ignored at recovery.
+// Crash protocol mirrors the campaign store: the shard's ResultStore (its
+// frozen specs and campaign.json header) is initialized before job.json
+// appears, and job.json is the admission record — a shard without
+// job.json is an aborted submit and is ignored at recovery. Each unit's
+// summary.json, written last, marks it complete for both unit kinds.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ enum class JobKind { kCampaign, kValidation };
 
 /// Lifecycle: kQueued -> kRunning -> {kComplete, kFailed, kCancelled}.
 /// A daemon restart rewinds kRunning to kQueued (completed scenarios are
-/// skipped via the shard's manifest, so no work is repeated).
+/// skipped via their summary.json in the shard, so no work is repeated).
 enum class JobState { kQueued, kRunning, kComplete, kFailed, kCancelled };
 
 const char* to_string(JobKind kind);

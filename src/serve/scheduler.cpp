@@ -412,14 +412,14 @@ std::size_t JobScheduler::recover() {
 
       if (!is_terminal(job->state)) {
         // Interrupted (or never-started) job: reload the frozen specs —
-        // the manifest, not the submit body, is the source of truth — and
+        // the store, not the submit body, is the source of truth — and
         // re-enqueue the pending units.
         job->spec.scenarios.clear();
         for (const std::string& name : job->unit_names) {
           job->spec.scenarios.push_back(job->store->load_spec(name));
         }
         if (job->units_done == job->unit_names.size()) {
-          // Died between the last record_complete and the final job.json
+          // Died between the last unit's summary and the final job.json
           // rewrite: everything is on disk, just publish the state.
           job->state = JobState::kComplete;
           persist_record(*job, record_of(*job));
@@ -546,10 +546,10 @@ std::optional<util::Json> JobScheduler::results(const std::string& id) const {
     if (!job->error.empty()) out.set("error", job->error);
   }
 
-  // The disk is read under the job's io_mutex alone. Jobs are never
+  // The disk is read without a lock: every file read here is renamed into
+  // place, or was written before the job was published. Jobs are never
   // erased, so `job` and its store stay valid without the scheduler lock.
   util::Json scenarios = util::Json::array();
-  std::lock_guard<std::mutex> io(job->io_mutex);
   try {
     const scenario::CampaignManifest manifest = job->store->load_manifest();
     for (const scenario::ScenarioStatus& status : manifest.scenarios) {
@@ -585,7 +585,7 @@ void JobScheduler::drain() {
 
   // Workers are gone; rewind every interrupted job to "queued" on disk so
   // the next daemon's recover() re-enqueues it (completed units stay
-  // checkpointed in the shard manifest and are skipped, not re-run).
+  // checkpointed by their summary.json and are skipped, not re-run).
   std::lock_guard<std::mutex> lk(mutex_);
   for (auto& [id, job] : jobs_) {
     if (is_terminal(job->state)) continue;
@@ -798,10 +798,7 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
       copts.quick = job.spec.quick;
       copts.events = job.events.get();
       copts.event_job_id = job.spec.id;
-      const scenario::ScenarioStatus status =
-          scenario::execute_scenario(spec, copts, *job.store, nullptr, &cache_);
-      std::lock_guard<std::mutex> io(job.io_mutex);
-      job.store->record_complete(status);
+      scenario::execute_scenario(spec, copts, *job.store, nullptr, &cache_);
     } else {
       validate::ValidationOptions vopts;
       vopts.plan.replicates = job.spec.validation.replicates;
@@ -811,13 +808,16 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
       vopts.tolerance_percent = job.spec.validation.tolerance_percent;
       const validate::ValidationReport report =
           validate::run_validation(spec, vopts);
-      std::lock_guard<std::mutex> io(job.io_mutex);
       validate::persist_validation(*job.store, report);
-      scenario::ScenarioStatus status;
-      status.name = spec.name;
-      status.complete = true;
-      status.wallclock_s = report.wallclock_s;
-      job.store->record_complete(status);
+      // The unit's completion record, as a campaign unit's summary is.
+      util::Json summary = util::Json::object();
+      summary.set("name", spec.name);
+      for (const char* count :
+           {"evaluations", "infeasible", "front_size", "feasible_size"}) {
+        summary.set(count, 0);
+      }
+      summary.set("wallclock_s", report.wallclock_s);
+      job.store->write_summary(spec.name, summary);
     }
     return {};
   } catch (const util::FileError& e) {

@@ -31,16 +31,17 @@
 //    unit is stuck (cooperative preemption: the stuck unit's eventual
 //    result persists but cannot resurrect the failed job);
 //  * drain() (SIGTERM path) stops claiming new units, lets in-flight
-//    units finish and checkpoint through the ResultStore manifest
+//    units finish and checkpoint through the ResultStore summary
 //    protocol, rewinds non-terminal jobs to "queued" on disk and joins
 //    the workers — recover() in the next process picks every such job up
 //    and skips the units whose results are already on disk, reproducing
 //    the uninterrupted run byte-for-byte (the scenario engine's
 //    determinism contract);
 //  * a SIGKILL skips all of that, and recover() still works: job.json is
-//    written before a job is ever runnable, scenario results land before
-//    the manifest marks them complete, so the worst case is re-running
-//    one scenario whose (deterministic) results had not been published.
+//    written before a job is ever runnable, and a unit's results land
+//    before the summary.json that marks it complete, so the worst case is
+//    re-running one unit whose (deterministic) summary had not been
+//    written.
 #pragma once
 
 #include <cstddef>
@@ -155,8 +156,8 @@ class JobScheduler {
 
   /// Re-registers every job found under data_dir (daemon restart):
   /// terminal jobs become queryable again, non-terminal ones are
-  /// re-enqueued with their completed units marked off against the shard
-  /// manifest. Returns the number of jobs re-enqueued. Call before
+  /// re-enqueued with their completed units (those with a summary.json in
+  /// the shard) marked off. Returns the number of jobs re-enqueued. Call before
   /// start().
   std::size_t recover();
 
@@ -220,9 +221,10 @@ class JobScheduler {
     std::shared_ptr<util::events::EventRing> events =
         std::make_shared<util::events::EventRing>(1024);
     std::unique_ptr<scenario::ResultStore> store;
-    /// Serializes this job's store writes (manifest record_complete,
-    /// validation artifacts) and job.json rewrites across workers, and
-    /// results() reads against them.
+    /// Serializes this job's job.json rewrites. Unit writes need no lock:
+    /// each unit writes only its own results/<name>/, and results() reads
+    /// only files renamed into place or written before the job was
+    /// published.
     std::mutex io_mutex;
   };
 

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <random>
 #include <stdexcept>
 #include <thread>
 
@@ -21,7 +20,7 @@ namespace {
 
 #if defined(WSNEX_FAILPOINTS_ENABLED)
 
-/// One armed site: the base action plus its trigger selectors.
+/// One armed site: the base action plus its trigger selector.
 struct Arm {
   ActionKind kind = ActionKind::kNone;
   int error_errno = 0;
@@ -29,8 +28,6 @@ struct Arm {
   int sleep_ms = 0;
   bool crash = false;
   std::size_t only_hit = 0;  ///< trigger only on this evaluation (0 = every)
-  double probability = 1.0;
-  std::mt19937_64 rng;  ///< draws the ~P coin; seeded at configure time
   std::size_t evaluations = 0;
 };
 
@@ -78,7 +75,7 @@ std::size_t parse_count(const std::string& text, const char* what) {
   return static_cast<std::size_t>(std::stoull(text));
 }
 
-/// Parses one action string ("error(ENOSPC)#2~0.5/42") into an Arm.
+/// Parses one action string ("error(ENOSPC)#2") into an Arm.
 Arm parse_action(const std::string& site, const std::string& text) {
   Arm arm;
   std::size_t pos = 0;
@@ -118,43 +115,12 @@ Arm parse_action(const std::string& site, const std::string& text) {
          "or off)");
   }
 
-  std::uint64_t seed = 0;
-  while (pos < text.size()) {
-    if (text[pos] == '#') {
-      std::size_t end = ++pos;
-      while (end < text.size() && std::isdigit(static_cast<unsigned char>(
-                                      text[end])) != 0) {
-        ++end;
-      }
-      arm.only_hit = parse_count(text.substr(pos, end - pos), "#K selector");
-      if (arm.only_hit == 0) fail("#K selector must be >= 1");
-      pos = end;
-    } else if (text[pos] == '~') {
-      std::size_t end = ++pos;
-      while (end < text.size() && text[end] != '/' && text[end] != '#') ++end;
-      try {
-        arm.probability = std::stod(text.substr(pos, end - pos));
-      } catch (const std::exception&) {
-        fail("~P probability must be a number in [0, 1]");
-      }
-      if (!(arm.probability >= 0.0 && arm.probability <= 1.0)) {
-        fail("~P probability must be within [0, 1]");
-      }
-      pos = end;
-      if (pos < text.size() && text[pos] == '/') {
-        end = ++pos;
-        while (end < text.size() && std::isdigit(static_cast<unsigned char>(
-                                        text[end])) != 0) {
-          ++end;
-        }
-        seed = parse_count(text.substr(pos, end - pos), "~P/SEED seed");
-        pos = end;
-      }
-    } else {
-      fail("unexpected trailing characters");
-    }
+  if (pos < text.size() && text[pos] == '#') {
+    arm.only_hit = parse_count(text.substr(pos + 1), "#K selector");
+    if (arm.only_hit == 0) fail("#K selector must be >= 1");
+  } else if (pos < text.size()) {
+    fail("unexpected trailing characters");
   }
-  arm.rng.seed(seed);
   return arm;
 }
 
@@ -217,10 +183,6 @@ Action evaluate(const char* site) {
     Arm& arm = it->second;
     ++arm.evaluations;
     if (arm.only_hit != 0 && arm.evaluations != arm.only_hit) return {};
-    if (arm.probability < 1.0) {
-      std::uniform_real_distribution<double> coin(0.0, 1.0);
-      if (coin(arm.rng) >= arm.probability) return {};
-    }
     action.kind = arm.kind;
     action.error_errno = arm.error_errno;
     action.torn_bytes = arm.torn_bytes;
@@ -277,15 +239,6 @@ std::size_t hits(const std::string& site) {
   std::lock_guard<std::mutex> lock(reg.mutex);
   const auto it = reg.hit_counts.find(site);
   return it == reg.hit_counts.end() ? 0 : it->second;
-}
-
-std::vector<std::string> seen_sites() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<std::string> sites;
-  sites.reserve(reg.hit_counts.size());
-  for (const auto& [site, count] : reg.hit_counts) sites.push_back(site);
-  return sites;
 }
 
 #else  // compiled out

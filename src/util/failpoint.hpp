@@ -8,12 +8,12 @@
 // Sites are armed through the WSNEX_FAILPOINTS environment variable (or
 // configure() in tests):
 //
-//   WSNEX_FAILPOINTS="result_store.manifest=crash#2;prd_cache.write=torn@128"
+//   WSNEX_FAILPOINTS="result_store.summary=crash#2;prd_cache.write=torn@128"
 //
 // Grammar (sites separated by ';'):
 //
 //   site  = action
-//   action       := mode modifier*
+//   action       := mode modifier?
 //   mode         := "error(" ERRNO ")"   fail the operation with this errno
 //                 | "torn@" N            persist only the first N bytes,
 //                                        then report success (a torn write)
@@ -23,10 +23,6 @@
 //                 | "off"                explicitly disarm the site
 //   modifier     := "#" K                trigger only on the Kth evaluation
 //                                        of the site (1-based)
-//                 | "~" P [ "/" SEED ]   trigger each evaluation with
-//                                        probability P, drawn from a
-//                                        deterministic PRNG seeded with
-//                                        SEED (default 0)
 //
 // ERRNO is a symbolic name (ENOSPC, EIO, EXDEV, ...) or a decimal number.
 // `crash` and `sleep` are handled inside evaluate() itself; call sites
@@ -38,9 +34,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace wsnex::util::failpoint {
 
@@ -88,9 +82,6 @@ void reset();
 /// Number of times `site` has been evaluated (armed or not).
 std::size_t hits(const std::string& site);
 
-/// Every site evaluated at least once in this process, sorted.
-std::vector<std::string> seen_sites();
-
 #else  // compiled out: evaluations are inline no-ops with zero overhead.
 
 inline Action evaluate(const char*) { return {}; }
@@ -101,7 +92,6 @@ void configure(const std::string& spec);
 void configure_from_env();
 inline void reset() {}
 inline std::size_t hits(const std::string&) { return 0; }
-inline std::vector<std::string> seen_sites() { return {}; }
 
 #endif
 

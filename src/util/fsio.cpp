@@ -40,13 +40,13 @@ bool is_temp_debris(const std::string& name) {
 
 #if !defined(_WIN32)
 
-/// Every fsync write_file_atomic issues, on the temp file and on the
-/// parent directory, counted whether or not it succeeds.
+/// Every fsync this module issues, on a file or on a directory, counted
+/// whether or not it succeeds.
 metrics::Counter& fsyncs_total() {
   static metrics::Counter& fsyncs = metrics::Registry::instance().counter(
       "wsnex_fsyncs_total",
-      "fsync calls issued by atomic file writes, on the file and on its "
-      "directory");
+      "fsync calls issued by durable file writes, on files and on their "
+      "directories");
   return fsyncs;
 }
 
@@ -101,6 +101,23 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 #else
   (void)dir;
+#endif
+}
+
+void fsync_file(const std::string& path) {
+#if !defined(_WIN32)
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw_errno("cannot open " + path + " to fsync");
+  fsyncs_total().inc();
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    throw_errno("fsync failed for " + path);
+  }
+  ::close(fd);
+#else
+  (void)path;
 #endif
 }
 

@@ -55,6 +55,13 @@ void write_file_atomic(const std::string& path, const std::string& contents,
 /// fsync a directory (EINVAL) pass silently. A no-op off POSIX.
 void fsync_dir(const std::string& dir);
 
+/// fsyncs the file at `path`, opened read-only, making its contents
+/// durable (one `wsnex_fsyncs_total` bump). For files written in place,
+/// such as the archive CSVs; their directory entry is durable once the
+/// directory is fsync'd. A no-op off POSIX. Throws FileError naming the
+/// path.
+void fsync_file(const std::string& path);
+
 /// Recursively removes `*.tmp` / `*.tmp.*` debris left under `dir` by
 /// writers that crashed between creating a temp file and renaming it.
 /// Never throws: unremovable entries are skipped (warn-logged). Returns

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace wsnex::util::metrics {
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -213,44 +215,6 @@ std::string Registry::prometheus_text() const {
                       std::string(), static_cast<double>(h.count()));
       }
     }
-  }
-  return out;
-}
-
-Json Registry::to_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Json out = Json::object();
-  for (const auto& family : families_) {
-    Json entry = Json::object();
-    entry.set("type", family->type);
-    entry.set("help", family->help);
-    Json list = Json::array();
-    for (const auto& series : family->series) {
-      Json sample = Json::object();
-      sample.set("labels", series.labels);
-      if (series.counter) {
-        sample.set("value", series.counter->value());
-      } else if (series.gauge) {
-        sample.set("value", series.gauge->value());
-      } else if (series.histogram) {
-        const Histogram& h = *series.histogram;
-        Json bounds = Json::array();
-        Json counts = Json::array();
-        for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-          bounds.push_back(h.bounds()[i]);
-          counts.push_back(static_cast<std::size_t>(h.bucket_count(i)));
-        }
-        counts.push_back(
-            static_cast<std::size_t>(h.bucket_count(h.bounds().size())));
-        sample.set("bounds", std::move(bounds));
-        sample.set("buckets", std::move(counts));
-        sample.set("sum", h.sum());
-        sample.set("count", static_cast<std::size_t>(h.count()));
-      }
-      list.push_back(std::move(sample));
-    }
-    entry.set("series", std::move(list));
-    out.set(family->name, std::move(entry));
   }
   return out;
 }

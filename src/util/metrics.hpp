@@ -1,5 +1,5 @@
 // Process-wide metrics registry: named counters, gauges and fixed-bucket
-// histograms with Prometheus text-exposition and JSON serializers.
+// histograms with a Prometheus text exposition.
 //
 // Design constraints (the observability no-perturbation contract,
 // ARCHITECTURE.md):
@@ -26,8 +26,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "util/json.hpp"
 
 namespace wsnex::util::metrics {
 
@@ -155,9 +153,6 @@ class Registry {
   /// header per family, families in first-registration order, histogram
   /// buckets cumulative with an explicit `le="+Inf"`.
   std::string prometheus_text() const;
-
-  /// Same content as JSON: `{name: {type, help, series: [{labels, ...}]}}`.
-  Json to_json() const;
 
  private:
   struct Family;

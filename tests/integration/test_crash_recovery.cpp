@@ -1,7 +1,7 @@
 // Crash-recovery soak at the library level (the shell-driven variant
 // lives in tools/crash_soak.sh): for every persist-site failpoint a
 // campaign evaluates, crash mid-persist in a forked child (EXPECT_EXIT),
-// recover the way the CLI would — resume when a manifest exists, rerun
+// recover the way the CLI would — resume when campaign.json exists, rerun
 // otherwise — and require the recovered archives byte-identical to an
 // uninterrupted reference. Plus the PRD disk-cache degradation contract:
 // torn or unreadable cache files recompute in memory, produce identical
@@ -81,16 +81,16 @@ TEST_F(CrashRecoveryTest, CrashAtEveryPersistSiteResumesBitIdentical) {
   ASSERT_FALSE(ref_pareto.empty());
 
   // One arming per persist site the campaign evaluates, in persist-
-  // protocol order. The manifest sites use #2: evaluation 1 is the
-  // all-pending manifest initialize() writes, evaluation 2 is the
-  // record_complete that publishes the scenario.
+  // protocol order. The manifest sites fire only at the campaign.json
+  // header initialize() writes; a crash there leaves no header, so
+  // recovery reruns.
   const std::vector<std::pair<std::string, std::string>> crash_sites = {
       {"spec", "result_store.spec=crash"},
+      {"manifest", "result_store.manifest=crash"},
+      {"manifest_rename", "result_store.manifest.rename=crash"},
       {"persist", "campaign.persist=crash"},
       {"summary", "result_store.summary=crash"},
       {"summary_rename", "result_store.summary.rename=crash"},
-      {"manifest", "result_store.manifest=crash#2"},
-      {"manifest_rename", "result_store.manifest.rename=crash#2"},
   };
   for (const auto& [label, arm] : crash_sites) {
     SCOPED_TRACE(label);
@@ -106,7 +106,7 @@ TEST_F(CrashRecoveryTest, CrashAtEveryPersistSiteResumesBitIdentical) {
         },
         ::testing::ExitedWithCode(fp::kCrashExitCode), "");
 
-    // Recover exactly like the CLI: `wsnex resume` once a manifest
+    // Recover exactly like the CLI: `wsnex resume` once campaign.json
     // exists, re-issued `wsnex run` when the crash predates it.
     const scenario::CampaignReport recovered =
         scenario::ResultStore::exists(out)

@@ -1,6 +1,7 @@
 // Campaign runner + result store integration: end-to-end runs over real
 // presets (quick budgets), persistence layout, checkpoint/resume with
-// bit-identical archives, and store/manifest corruption handling.
+// bit-identical archives, campaign.json as a header written once, format-1
+// headers, and store corruption handling.
 #include "scenario/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -255,7 +256,7 @@ TEST_F(CampaignTest, FailingScenarioStopsTheCampaignAndStaysPending) {
 }
 
 // A progress report that throws fails the commit that makes it: the
-// scenario it reports is already in the manifest, the scenario the lane
+// scenario it reports already has its summary.json, the scenario the lane
 // computed meanwhile is not committed, and none starts after it.
 TEST_F(CampaignTest, FailedCommitLeavesTheNextScenariosPending) {
   const auto specs = small_campaign();
@@ -287,7 +288,7 @@ TEST_F(CampaignTest, FailedCommitLeavesTheNextScenariosPending) {
 }
 
 // At jobs 1 the lane's commit worker commits scenario 0 (archives,
-// summary.json, manifest record, progress report) while the lane computes
+// summary.json, progress report) while the lane computes
 // scenario 1, so scenario 0's report can wait for scenario 1's hook. A
 // lane that committed scenario 0 itself would run hook 1 only after
 // report 0 returned, and the wait would time out.
@@ -327,8 +328,8 @@ TEST_F(CampaignTest, NextScenarioRunsWhileTheLastCommits) {
 
 // Overlapping commits drop no fsync: initialize fsyncs each frozen spec
 // file (1 each), then the scenarios/ directory once (1) and writes the
-// all-pending manifest (2), and each scenario adds its summary.json (2)
-// and its manifest record (2).
+// campaign.json header (2), and each scenario adds pareto.csv (1),
+// feasible.csv (1) and its summary.json (2: the file and results/<name>/).
 TEST_F(CampaignTest, TwoScenarioCampaignIssuesThirteenFsyncs) {
   const auto specs = std::vector<ScenarioSpec>{preset("hospital_ward_2"),
                                                preset("hospital_ward_3")};
@@ -620,6 +621,109 @@ TEST_F(CampaignTest, WarmCacheDirReproducesColdResultsByteForByte) {
     EXPECT_EQ(read_file(a.feasible_csv_path(spec.name)),
               read_file(b.feasible_csv_path(spec.name)))
         << spec.name;
+  }
+}
+
+// Nothing rewrites campaign.json after initialize: an aborted and resumed
+// campaign holds the bytes of an uninterrupted one.
+TEST_F(CampaignTest, ManifestIsWrittenOnce) {
+  const auto specs = small_campaign();
+  CampaignOptions interrupted = options(dir("int"));
+  interrupted.abort_after = 1;
+  EXPECT_FALSE(run_campaign(specs, interrupted).complete);
+  const std::string path = ResultStore(dir("int")).manifest_path();
+  const std::string header = read_file(path);
+  const util::Json json = util::Json::parse(header);
+  EXPECT_EQ(json.at("format_version").as_int64(), 2);
+  EXPECT_EQ(json.at("scenarios").as_array()[0].find("status"), nullptr);
+
+  EXPECT_TRUE(resume_campaign(dir("int")).complete);
+  EXPECT_EQ(read_file(path), header);
+  run_campaign(specs, options(dir("full")));
+  EXPECT_EQ(read_file(ResultStore(dir("full")).manifest_path()), header);
+}
+
+// A campaign.json written by older builds (format 1, rewritten after every
+// scenario) still loads: a "complete" entry keeps its recorded statistics
+// even without a summary, and any other entry is complete iff its
+// summary.json exists.
+TEST_F(CampaignTest, FormatOneManifestLoadsAndResumes) {
+  const auto specs = small_campaign();
+  run_campaign(specs, options(dir("clean")));
+  run_campaign(specs, options(dir("a")));
+  const ResultStore store(dir("a"));
+  const ScenarioStatus done = store.load_manifest().scenarios[0];
+
+  util::Json scenarios = util::Json::array();
+  const auto entry = [](const std::string& name, const char* status) {
+    util::Json json = util::Json::object();
+    json.set("name", name);
+    json.set("status", status);
+    return json;
+  };
+  // Crashed between its summary and the manifest record.
+  scenarios.push_back(entry(specs[0].name, "pending"));
+  // An older daemon's validation unit: recorded, no summary.
+  util::Json recorded = entry(specs[1].name, "complete");
+  recorded.set("evaluations", 0);
+  recorded.set("infeasible", 0);
+  recorded.set("front_size", 0);
+  recorded.set("feasible_size", 0);
+  recorded.set("wallclock_s", 1.25);
+  scenarios.push_back(std::move(recorded));
+  fs::remove(store.summary_path(specs[1].name));
+  // Never finished.
+  scenarios.push_back(entry(specs[2].name, "pending"));
+  fs::remove_all(store.result_dir(specs[2].name));
+  util::Json v1 = util::Json::object();
+  v1.set("format_version", 1);
+  v1.set("quick", true);
+  v1.set("scenarios", std::move(scenarios));
+  {
+    std::ofstream out(store.manifest_path(),
+                      std::ios::binary | std::ios::trunc);
+    out << v1.dump(2);
+  }
+  const std::string header = read_file(store.manifest_path());
+
+  const CampaignManifest manifest = store.load_manifest();
+  EXPECT_EQ(manifest.format_version, 1);
+  ASSERT_EQ(manifest.scenarios.size(), 3u);
+  EXPECT_TRUE(manifest.scenarios[0].complete);
+  EXPECT_EQ(manifest.scenarios[0].evaluations, done.evaluations);
+  EXPECT_EQ(manifest.scenarios[0].front_size, done.front_size);
+  EXPECT_EQ(manifest.scenarios[0].wallclock_s, done.wallclock_s);
+  EXPECT_TRUE(manifest.scenarios[1].complete);
+  EXPECT_EQ(manifest.scenarios[1].evaluations, 0u);
+  EXPECT_EQ(manifest.scenarios[1].wallclock_s, 1.25);
+  EXPECT_FALSE(manifest.scenarios[2].complete);
+
+  const CampaignReport resumed = resume_campaign(dir("a"));
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.skipped, 2u);
+  EXPECT_EQ(resumed.executed, 1u);
+  expect_same_archives(specs, dir("clean"), dir("a"));
+  // The resume leaves a format-1 header as it is.
+  EXPECT_EQ(read_file(store.manifest_path()), header);
+}
+
+// summary.json is a completion record: one that does not parse fails the
+// resume naming it, as a corrupt manifest does.
+TEST_F(CampaignTest, TornSummaryFailsResumeNamingIt) {
+  const auto specs = small_campaign();
+  run_campaign(specs, options(dir("a")));
+  const std::string path = ResultStore(dir("a")).summary_path(specs[1].name);
+  const std::string summary = read_file(path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << summary.substr(0, summary.size() / 2);
+  }
+  try {
+    resume_campaign(dir("a"));
+    FAIL() << "resume should have refused the torn summary";
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
   }
 }
 

@@ -3,7 +3,8 @@
 // layout for every already-safe name, (b) never let two distinct ids
 // share a directory — even when their sanitized spellings coincide — and
 // (c) never emit anything that can escape the store root — plus the
-// leftover-temp-file hygiene of initialize() on an existing store.
+// leftover-temp-file hygiene of initialize() on an existing store and
+// summary.json as the one completion record.
 #include "scenario/result_store.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "util/json.hpp"
 
 namespace wsnex::scenario {
 namespace {
@@ -152,6 +155,70 @@ TEST_F(StoreSweepTest, SweepReportsCountAndLeavesNonDebrisAlone) {
   EXPECT_EQ(store.sweep_stale_temp_files(), 0u);
   EXPECT_TRUE(fs::exists(root_ / "campaign.json"));
   EXPECT_TRUE(fs::exists(root_ / "scenarios" / "hospital_ward_2.json"));
+}
+
+class StoreRecordTest : public StoreSweepTest {
+ protected:
+  static util::Json summary_with(std::size_t evaluations, double wallclock_s) {
+    util::Json summary = util::Json::object();
+    summary.set("name", "hospital_ward_2");
+    summary.set("evaluations", evaluations);
+    summary.set("infeasible", std::size_t{2});
+    summary.set("front_size", std::size_t{3});
+    summary.set("feasible_size", std::size_t{1});
+    summary.set("wallclock_s", wallclock_s);
+    return summary;
+  }
+
+  static std::string read(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+};
+
+// A summary.json left by a deleted campaign must not pass as the result of
+// a new campaign initialized over it.
+TEST_F(StoreRecordTest, InitializeRefusesAStaleSummaryWithoutAHeader) {
+  const std::vector<ScenarioSpec> specs{preset("hospital_ward_3"),
+                                        preset("hospital_ward_2")};
+  ResultStore store(root_.string());
+  store.write_summary("hospital_ward_2", summary_with(10, 0.5));
+  try {
+    store.initialize(specs, /*quick=*/true);
+    FAIL() << "initialize should have refused the stale summary";
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(store.summary_path("hospital_ward_2")),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(fs::exists(store.manifest_path()));
+  EXPECT_FALSE(fs::exists(store.scenario_dir()));
+  EXPECT_TRUE(fs::exists(store.summary_path("hospital_ward_2")));
+}
+
+TEST_F(StoreRecordTest, RecordCompleteWritesNothingAndNeedsTheSummary) {
+  ResultStore store(root_.string());
+  store.initialize({preset("hospital_ward_2")}, /*quick=*/true);
+  const std::string header = read(store.manifest_path());
+  ScenarioStatus status;
+  status.name = "hospital_ward_2";
+  EXPECT_THROW(store.record_complete(status), ScenarioError);
+  EXPECT_FALSE(store.load_manifest().scenarios[0].complete);
+
+  store.write_summary("hospital_ward_2", summary_with(10, 0.5));
+  EXPECT_NO_THROW(store.record_complete(status));
+  EXPECT_EQ(read(store.manifest_path()), header);
+  // The summary alone completes the scenario, with its statistics.
+  const ScenarioStatus loaded = store.load_manifest().scenarios[0];
+  EXPECT_TRUE(loaded.complete);
+  EXPECT_EQ(loaded.evaluations, 10u);
+  EXPECT_EQ(loaded.infeasible, 2u);
+  EXPECT_EQ(loaded.front_size, 3u);
+  EXPECT_EQ(loaded.feasible_size, 1u);
+  EXPECT_EQ(loaded.wallclock_s, 0.5);
 }
 
 }  // namespace

@@ -241,9 +241,10 @@ TEST_F(SchedulerTest, FailedJobDoesNotPoisonOthers) {
   ASSERT_EQ(scheduler.submit(validation_job("healthy", {"hospital_ward_2"}))
                 .code,
             JobScheduler::Admission::Code::kAccepted);
-  // Sabotage the doomed job's shard: with its manifest gone,
-  // record_complete throws and the unit fails.
-  fs::remove(fs::path(scheduler.shard_dir("doomed")) / "campaign.json");
+  // Sabotage the doomed job's shard: with a regular file where its
+  // results/ directory belongs, the unit cannot create its result
+  // directory and fails.
+  std::ofstream(fs::path(scheduler.shard_dir("doomed")) / "results") << "x";
   scheduler.start();
   const JobProgress doomed = wait_terminal(scheduler, "doomed");
   const JobProgress healthy = wait_terminal(scheduler, "healthy");

@@ -1,18 +1,15 @@
 // util::failpoint semantics: the arming grammar (error/torn/crash/sleep/
-// off, #K one-shot and ~P/SEED probabilistic selectors), deterministic
-// triggering, hit accounting, and the compiled-out build's no-op
+// off and the #K one-shot selector), deterministic triggering, hit
+// accounting, and the compiled-out build's no-op
 // contract. Grammar tests skip on default builds, where evaluate() is an
 // inline no-op; the no-op contract is asserted instead.
 #include "util/failpoint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 namespace wsnex::util::failpoint {
 namespace {
@@ -36,7 +33,6 @@ TEST_F(FailpointTest, CompiledOutBuildArmsNothing) {
   EXPECT_NO_THROW(configure("test.off_build=error(EIO)"));
   EXPECT_FALSE(evaluate("test.off_build"));
   EXPECT_EQ(hits("test.off_build"), 0u);
-  EXPECT_TRUE(seen_sites().empty());
 }
 
 TEST_F(FailpointTest, ErrorModeCarriesSymbolicErrno) {
@@ -84,33 +80,6 @@ TEST_F(FailpointTest, KthEvaluationSelectorFiresExactlyOnce) {
   EXPECT_FALSE(evaluate("test.kth"));
 }
 
-TEST_F(FailpointTest, ProbabilitySelectorIsDeterministicForASeed) {
-  if (!compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
-  const auto draw_pattern = [] {
-    std::vector<bool> pattern;
-    for (int i = 0; i < 64; ++i) {
-      pattern.push_back(static_cast<bool>(evaluate("test.prob")));
-    }
-    return pattern;
-  };
-  configure("test.prob=error(EIO)~0.5/42");
-  const std::vector<bool> first = draw_pattern();
-  reset();
-  configure("test.prob=error(EIO)~0.5/42");
-  const std::vector<bool> second = draw_pattern();
-  EXPECT_EQ(first, second);
-  // At p=0.5 over 64 draws, both outcomes appear (overwhelmingly likely
-  // and fixed forever by the seed).
-  EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
-  EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
-}
-
-TEST_F(FailpointTest, ProbabilityZeroNeverFires) {
-  if (!compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
-  configure("test.never=error(EIO)~0");
-  for (int i = 0; i < 32; ++i) EXPECT_FALSE(evaluate("test.never"));
-}
-
 TEST_F(FailpointTest, MultiSiteSpecArmsEverySite) {
   if (!compiled_in()) GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
   configure("test.a=error(ENOSPC);test.b=torn@7");
@@ -124,9 +93,6 @@ TEST_F(FailpointTest, HitsCountEvaluationsEvenWhenUnarmed) {
   evaluate("test.counted");
   evaluate("test.counted");
   EXPECT_EQ(hits("test.counted"), 2u);
-  const std::vector<std::string> sites = seen_sites();
-  EXPECT_NE(std::find(sites.begin(), sites.end(), "test.counted"),
-            sites.end());
 }
 
 TEST_F(FailpointTest, InvalidSpecsThrowNamingTheToken) {
@@ -136,7 +102,6 @@ TEST_F(FailpointTest, InvalidSpecsThrowNamingTheToken) {
   EXPECT_THROW(configure("test.bad=error(ENOSPC"), std::invalid_argument);
   EXPECT_THROW(configure("test.bad=torn@"), std::invalid_argument);
   EXPECT_THROW(configure("test.bad=error(EIO)#0"), std::invalid_argument);
-  EXPECT_THROW(configure("test.bad=error(EIO)~1.5"), std::invalid_argument);
   EXPECT_THROW(configure("no_equals_sign"), std::invalid_argument);
   EXPECT_THROW(configure("=error(EIO)"), std::invalid_argument);
   // A bad entry must not leave earlier entries half-armed silently — but

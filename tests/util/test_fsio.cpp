@@ -1,7 +1,7 @@
-// util::fsio durability helpers: atomic temp+rename writes, errno-carrying
-// FileError messages, stale temp-file sweeping, and write_file_atomic's
-// failpoint instrumentation (injected errors and torn writes) on
-// -DWSNEX_FAILPOINTS=ON builds.
+// util::fsio durability helpers: atomic temp+rename writes, fsync_file,
+// errno-carrying FileError messages, stale temp-file sweeping, and
+// write_file_atomic's failpoint instrumentation (injected errors and torn
+// writes) on -DWSNEX_FAILPOINTS=ON builds.
 #include "util/fsio.hpp"
 
 #include <gtest/gtest.h>
@@ -87,6 +87,27 @@ TEST_F(FsioTest, DeferredRenamesShareOneDirectoryFsync) {
   EXPECT_EQ(fsyncs.value() - before, 4.0);
   EXPECT_EQ(read_file((root_ / "b.json").string()), "b.json");
   EXPECT_EQ(entries().size(), 4u);  // no temp debris
+}
+
+// A file written in place costs one fsync; a missing one throws naming
+// its path.
+TEST_F(FsioTest, FsyncFileCountsOneFsyncAndNamesAMissingFile) {
+  const metrics::Counter& fsyncs =
+      metrics::Registry::instance().counter("wsnex_fsyncs_total", "");
+  const std::string path = (root_ / "archive.csv").string();
+  touch(path);
+  const double before = fsyncs.value();
+  fsync_file(path);
+  EXPECT_EQ(fsyncs.value() - before, 1.0);
+
+  const std::string missing = (root_ / "absent.csv").string();
+  try {
+    fsync_file(missing);
+    FAIL() << "fsync_file should have thrown";
+  } catch (const FileError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(missing), std::string::npos) << what;
+  }
 }
 
 TEST_F(FsioTest, ReadMissingFileThrowsWithErrno) {

@@ -1,7 +1,7 @@
 // util::metrics semantics: instrument arithmetic, registration contracts
 // (stable references, type/bounds mismatch as logic errors), Prometheus
-// text exposition shape, the JSON mirror, and a multi-thread hammer with
-// a concurrent scraper (the TSan job runs this file).
+// text exposition shape, and a multi-thread hammer with a concurrent
+// scraper (the TSan job runs this file).
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -12,8 +12,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "util/json.hpp"
 
 namespace wsnex::util::metrics {
 namespace {
@@ -143,27 +141,6 @@ TEST(RegistryTest, PrometheusTextHasHelpTypeAndSamples) {
   EXPECT_TRUE(contains(text, "request_seconds_count 2\n"));
 }
 
-TEST(RegistryTest, JsonMirrorsTheExposition) {
-  Registry registry;
-  registry.counter("hits_total", "Hits.").inc(5);
-  Histogram& h = registry.histogram("lat", "Latency.", {1.0});
-  h.observe(0.5);
-  h.observe(3.0);
-
-  const Json doc = registry.to_json();
-  const Json& hits = doc.at("hits_total");
-  EXPECT_EQ(hits.at("type").as_string(), "counter");
-  ASSERT_EQ(hits.at("series").as_array().size(), 1u);
-  EXPECT_EQ(hits.at("series").as_array()[0].at("value").as_double(), 5.0);
-  const Json& lat = doc.at("lat").at("series").as_array()[0];
-  EXPECT_EQ(lat.at("bounds").as_array().size(), 1u);
-  const Json::Array& buckets = lat.at("buckets").as_array();
-  ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_EQ(buckets[0].as_int64(), 1);
-  EXPECT_EQ(buckets[1].as_int64(), 1);
-  EXPECT_EQ(lat.at("count").as_int64(), 2);
-}
-
 TEST(RegistryTest, HammeredFromManyThreadsWhileScraping) {
   Registry registry;
   Counter& counter = registry.counter("hammer_total", "Hammer.");
@@ -179,7 +156,6 @@ TEST(RegistryTest, HammeredFromManyThreadsWhileScraping) {
     while (!stop.load(std::memory_order_relaxed)) {
       const std::string text = registry.prometheus_text();
       EXPECT_TRUE(contains(text, "hammer_total"));
-      (void)registry.to_json();
       // New registrations racing the scrape must also be safe.
       registry.counter("late_total", "Registered mid-scrape.").inc();
     }

@@ -5,13 +5,13 @@
 # registered persist-site failpoint: re-runs the campaign with that site
 # armed to `crash`, asserts the process died with the crash sentinel
 # (exit 86), recovers the way an operator would (`wsnex resume` when the
-# campaign manifest exists, re-issued `wsnex run` when the crash predates
-# it), and byte-compares the recovered archives against the reference.
-# A two-scenario `--jobs 1` leg then crashes each commit site (archives,
-# summary, manifest record) while the lane already runs the second
-# optimizer. A
-# final leg tears the PRD calibration disk cache mid-write and checks a
-# warm rerun degrades to recompute with identical archives.
+# campaign.json header exists, re-issued `wsnex run` when the crash
+# predates it), and byte-compares the recovered archives against the
+# reference. A two-scenario `--jobs 1` leg then crashes each commit site
+# (archives, summary) of the first scenario while the lane already runs
+# the second optimizer, and the second scenario's summary after the first
+# is complete. A final leg tears the PRD calibration disk cache mid-write
+# and checks a warm rerun degrades to recompute with identical archives.
 #
 # Usage: tools/crash_soak.sh <path-to-wsnex-binary> [workdir]
 # The binary must be built with -DWSNEX_FAILPOINTS=ON; the script fails
@@ -48,13 +48,13 @@ crash_leg() {
     return
   fi
 
-  # Recover: resume once the manifest exists, otherwise rerun from scratch.
+  # Recover: resume once the header exists, otherwise rerun from scratch.
   if [ -f "$out/campaign.json" ]; then
     WSNEX_FAILPOINTS= "$BIN" resume "$out" >/dev/null \
       || { fail "$label: resume failed"; return; }
   else
     WSNEX_FAILPOINTS= "$BIN" run "$@" -o "$out" --quick --jobs 1 >/dev/null \
-      || { fail "$label: rerun after pre-manifest crash failed"; return; }
+      || { fail "$label: rerun after pre-header crash failed"; return; }
   fi
 
   for s in "$@"; do
@@ -74,26 +74,26 @@ REF_PARETO="$REF/results/$SCENARIO/pareto.csv"
 REF_FEASIBLE="$REF/results/$SCENARIO/feasible.csv"
 [ -s "$REF_PARETO" ] || { echo "reference pareto.csv missing" >&2; exit 1; }
 
-# site label -> WSNEX_FAILPOINTS arming. The manifest sites use #2:
-# evaluation 1 is the all-pending manifest written at initialize, 2 is
-# the record_complete that publishes the scenario.
+# site label -> WSNEX_FAILPOINTS arming. The manifest sites fire only at
+# the campaign.json header written at initialize; a crash there leaves no
+# header, so recovery reruns.
 SITES=(
   "spec:result_store.spec=crash"
   "spec_rename:result_store.spec.rename=crash"
+  "manifest:result_store.manifest=crash"
+  "manifest_rename:result_store.manifest.rename=crash"
   "persist:campaign.persist=crash"
   "summary:result_store.summary=crash"
   "summary_rename:result_store.summary.rename=crash"
-  "manifest:result_store.manifest=crash#2"
-  "manifest_rename:result_store.manifest.rename=crash#2"
 )
 for entry in "${SITES[@]}"; do
   crash_leg "${entry%%:*}" "${entry#*:}" "$REF" "$SCENARIO"
 done
 
-# Two scenarios: the lane's commit worker writes the first one's archives,
-# summary.json and manifest record while the lane runs the second one's
-# optimizer, so these crashes land mid-optimizer. Manifest evaluation 2
-# records the first scenario, evaluation 3 the second.
+# Two scenarios: the lane's commit worker writes the first one's archives
+# and summary.json while the lane runs the second one's optimizer, so the
+# first three crashes land mid-optimizer. Summary evaluation 2 records the
+# second scenario, after the first is complete.
 PAIR=(hospital_ward_2 hospital_ward_3)
 echo "== two-scenario reference run =="
 PAIR_REF="$WORK/pair_ref"
@@ -103,9 +103,8 @@ PAIR_SITES=(
   "pair_persist:campaign.persist=crash"
   "pair_summary:result_store.summary=crash"
   "pair_summary_rename:result_store.summary.rename=crash"
-  "pair_manifest2:result_store.manifest=crash#2"
-  "pair_manifest3:result_store.manifest=crash#3"
-  "pair_manifest_rename:result_store.manifest.rename=crash#2"
+  "pair_summary2:result_store.summary=crash#2"
+  "pair_summary_rename2:result_store.summary.rename=crash#2"
 )
 for entry in "${PAIR_SITES[@]}"; do
   crash_leg "${entry%%:*}" "${entry#*:}" "$PAIR_REF" "${PAIR[@]}"

@@ -308,8 +308,8 @@ int watch_job(const serve::Client& client, const std::string& id) {
 }
 
 /// Directory mode: tail every scenario's progress.jsonl in a campaign
-/// store, rendering records as they are flushed, until the manifest marks
-/// the campaign complete.
+/// store, rendering records as they are flushed, until every scenario has
+/// its summary.json.
 int watch_dir(const std::string& dir) {
   scenario::ResultStore store(dir);
   if (!scenario::ResultStore::exists(store.root())) {
