@@ -241,12 +241,16 @@ CampaignManifest ResultStore::load_header() const {
   return manifest;
 }
 
+bool ResultStore::complete(const ScenarioStatus& header_entry) const {
+  return header_entry.complete || fs::exists(summary_path(header_entry.name));
+}
+
 CampaignManifest ResultStore::load_manifest() const {
   CampaignManifest manifest = load_header();
   for (ScenarioStatus& status : manifest.scenarios) {
     // A format-1 "complete" keeps its recorded statistics: an older
     // daemon's validation units wrote no summary.
-    if (status.complete || !fs::exists(summary_path(status.name))) continue;
+    if (status.complete || !complete(status)) continue;
     try {
       read_stats(load_summary(status.name), status);
     } catch (const util::JsonTypeError& e) {

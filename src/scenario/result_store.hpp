@@ -85,14 +85,20 @@ class ResultStore {
   /// must not pass as this campaign's result.
   void initialize(const std::vector<ScenarioSpec>& specs, bool quick);
 
-  /// Names and order come from the header. A scenario is complete iff its
-  /// summary.json exists, and its statistics are read from that file; a
-  /// summary that does not parse throws ScenarioError naming its path. A
+  /// Names and order come from the header. A scenario is complete as
+  /// complete() says, and a summary's statistics are read from that file;
+  /// a summary that does not parse throws ScenarioError naming its path. A
   /// format-1 header (written by older builds, which rewrote it after
   /// every scenario) still loads: an entry it marks complete keeps the
-  /// statistics it recorded, any other is complete iff its summary
-  /// exists.
+  /// statistics it recorded.
   CampaignManifest load_manifest() const;
+  /// campaign.json parsed: options and names, plus the statuses a
+  /// format-1 header recorded (every scenario pending under format 2).
+  /// Reads no summary, so a poller can read it once and ask complete().
+  CampaignManifest load_header() const;
+  /// The one completion rule, for an entry of load_header(): complete if
+  /// a format-1 header recorded it complete or its summary.json exists.
+  bool complete(const ScenarioStatus& header_entry) const;
   ScenarioSpec load_spec(const std::string& name) const;
 
   /// Writes nothing: summary.json is the completion record. Throws
@@ -143,10 +149,6 @@ class ResultStore {
   std::size_t sweep_stale_temp_files() const;
 
  private:
-  /// campaign.json parsed: options and names, plus the statuses a
-  /// format-1 header recorded (every scenario pending under format 2).
-  CampaignManifest load_header() const;
-
   std::string root_;
 };
 

@@ -8,7 +8,8 @@
 // one ResultStore shard under <data_dir>/jobs/<shard>/ — the shard name
 // comes from scenario::ResultStore::shard_id, so hostile ids can neither
 // escape the data directory nor collide with each other — plus a job.json
-// record whose atomic rewrites track the job through its lifecycle.
+// record, written atomically twice: at admission (state queued) and at the
+// job's terminal transition.
 //
 // Crash protocol mirrors the campaign store: the shard's ResultStore (its
 // frozen specs and campaign.json header) is initialized before job.json
@@ -36,7 +37,9 @@ class ServeError : public std::runtime_error {
 enum class JobKind { kCampaign, kValidation };
 
 /// Lifecycle: kQueued -> kRunning -> {kComplete, kFailed, kCancelled}.
-/// A daemon restart rewinds kRunning to kQueued (completed scenarios are
+/// kRunning lives only in memory: job.json holds kQueued until the verdict
+/// (records left kRunning by older daemons still load). A daemon restart
+/// re-enqueues every non-terminal job as kQueued (completed scenarios are
 /// skipped via their summary.json in the shard, so no work is repeated).
 enum class JobState { kQueued, kRunning, kComplete, kFailed, kCancelled };
 

@@ -99,13 +99,6 @@ void WeightedRoundRobin::remove(const std::string& key) {
   }
 }
 
-bool WeightedRoundRobin::contains(const std::string& key) const {
-  for (const Entry& entry : entries_) {
-    if (entry.key == key) return true;
-  }
-  return false;
-}
-
 std::string WeightedRoundRobin::pick() {
   if (entries_.empty()) return {};
   if (cursor_ >= entries_.size()) cursor_ = 0;
@@ -292,14 +285,19 @@ JobScheduler::Admission JobScheduler::submit_impl(
 
   const std::string id = spec.id;
   auto job = std::make_unique<Job>();
-  job->spec = std::move(spec);
-  job->unit_names.reserve(job->spec.scenarios.size());
-  for (const scenario::ScenarioSpec& scenario : job->spec.scenarios) {
-    job->unit_names.push_back(scenario.name);
+  JobRecord& record = job->record;
+  record.id = id;
+  record.kind = spec.kind;
+  record.priority = spec.priority;
+  record.quick = spec.quick;
+  record.deadline_s = spec.deadline_s;
+  record.validation = spec.validation;
+  for (const scenario::ScenarioSpec& scenario : spec.scenarios) {
+    job->pending.insert(job->pending.end(), record.scenario_names.size());
+    record.scenario_names.push_back(scenario.name);
   }
-  job->claimed.assign(job->unit_names.size(), false);
-  job->completed.assign(job->unit_names.size(), false);
-  job->attempts.assign(job->unit_names.size(), 0);
+  job->specs = std::move(spec.scenarios);
+  job->attempts.assign(job->specs.size(), 0);
   try {
     const std::string shard = shard_dir(id);
     // A shard with no job.json is debris from a submit that died between
@@ -316,8 +314,8 @@ JobScheduler::Admission JobScheduler::submit_impl(
       fs::remove_all(shard);
     }
     job->store = std::make_unique<scenario::ResultStore>(shard);
-    job->store->initialize(job->spec.scenarios, job->spec.quick);
-    persist_record(*job, record_of(*job));
+    job->store->initialize(job->specs, record.quick);
+    persist_record(*job, record);
   } catch (const std::exception& e) {
     admission.code = Admission::Code::kInvalid;
     admission.message = e.what();
@@ -335,7 +333,7 @@ JobScheduler::Admission JobScheduler::submit_impl(
     // A drain that began meanwhile leaves the job queued: job.json is on
     // disk, so the next daemon's recover() runs it.
     std::lock_guard<std::mutex> lk(mutex_);
-    wrr_.add(id, job->spec.priority);
+    wrr_.add(id, record.priority);
     jobs_[id] = std::move(job);
     active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
   }
@@ -378,67 +376,54 @@ std::size_t JobScheduler::recover() {
     // clear it before anything reads or re-writes the artifacts.
     util::remove_stale_temp_files(shard.string());
     try {
-      const JobRecord record = JobRecord::from_json(
+      auto job = std::make_unique<Job>();
+      JobRecord& record = job->record;
+      record = JobRecord::from_json(
           util::Json::parse(util::read_file(record_path.string())));
       if (jobs_.count(record.id) != 0) {
         WSNEX_WARN() << "serve: duplicate job id \"" << record.id
                      << "\" in shard " << shard.string() << "; skipping";
         continue;
       }
-      auto job = std::make_unique<Job>();
-      job->spec.id = record.id;
-      job->spec.kind = record.kind;
-      job->spec.priority =
+      record.priority =
           std::clamp<std::size_t>(record.priority, 1, kMaxPriority);
-      job->spec.quick = record.quick;
-      job->spec.deadline_s = record.deadline_s;
-      job->spec.validation = record.validation;
-      job->unit_names = record.scenario_names;
       job->store = std::make_unique<scenario::ResultStore>(shard.string());
-      job->state = record.state;
-      job->error = record.error;
-      job->claimed.assign(job->unit_names.size(), false);
-      job->completed.assign(job->unit_names.size(), false);
-      job->attempts.assign(job->unit_names.size(), 0);
+      job->attempts.assign(record.scenario_names.size(), 0);
 
       const scenario::CampaignManifest manifest = job->store->load_manifest();
-      for (std::size_t i = 0;
-           i < manifest.scenarios.size() && i < job->unit_names.size(); ++i) {
-        if (!manifest.scenarios[i].complete) continue;
-        job->claimed[i] = true;
-        job->completed[i] = true;
-        ++job->units_done;
+      for (std::size_t i = 0; i < record.scenario_names.size(); ++i) {
+        if (i < manifest.scenarios.size() && manifest.scenarios[i].complete) {
+          ++job->units_done;
+        } else {
+          job->pending.insert(job->pending.end(), i);
+        }
       }
 
-      if (!is_terminal(job->state)) {
-        // Interrupted (or never-started) job: reload the frozen specs —
-        // the store, not the submit body, is the source of truth — and
-        // re-enqueue the pending units.
-        job->spec.scenarios.clear();
-        for (const std::string& name : job->unit_names) {
-          job->spec.scenarios.push_back(job->store->load_spec(name));
+      if (!is_terminal(record.state)) {
+        // Interrupted (or never-started) job, whatever state its record
+        // holds: reload the frozen specs — the store, not the submit body,
+        // is the source of truth — and re-enqueue the pending units.
+        for (const std::string& name : record.scenario_names) {
+          job->specs.push_back(job->store->load_spec(name));
         }
-        if (job->units_done == job->unit_names.size()) {
-          // Died between the last unit's summary and the final job.json
-          // rewrite: everything is on disk, just publish the state.
-          job->state = JobState::kComplete;
-          persist_record(*job, record_of(*job));
+        if (job->pending.empty()) {
+          // Died between the last unit's summary and the verdict write:
+          // everything is on disk, just publish the state.
+          record.state = JobState::kComplete;
+          persist_record(*job, record);
         } else {
-          job->state = JobState::kQueued;
-          if (record.state != JobState::kQueued) {
-            persist_record(*job, record_of(*job));
-          }
-          wrr_.add(record.id, job->spec.priority);
+          record.state = JobState::kQueued;
+          wrr_.add(record.id, record.priority);
           ++requeued;
         }
       }
 
       // Event rings are in-memory only, so a recovered job starts a fresh
       // stream: one synthetic event telling watchers where it stands.
-      if (is_terminal(job->state)) {
+      if (is_terminal(record.state)) {
         job->events->publish(make_event(
             Kind::kJobFinished, record.id, "",
-            std::string("recovered: ") + to_string(job->state)));
+            std::string("recovered: ") + to_string(record.state)));
       } else {
         job->events->publish(
             make_event(Kind::kJobQueued, record.id, "", "recovered"));
@@ -508,7 +493,7 @@ std::optional<JobProgress> JobScheduler::cancel(const std::string& id) {
     const auto it = jobs_.find(id);
     if (it == jobs_.end()) return std::nullopt;
     job = it->second.get();
-    if (!is_terminal(job->state) && !job->cancel_requested) {
+    if (!is_terminal(job->record.state) && !job->cancel_requested) {
       job->cancel_requested = true;
       wrr_.remove(id);
       record = maybe_finalize(*job);
@@ -539,11 +524,11 @@ std::optional<util::Json> JobScheduler::results(const std::string& id) const {
     const auto it = jobs_.find(id);
     if (it == jobs_.end()) return std::nullopt;
     job = it->second.get();
-    kind = job->spec.kind;
-    out.set("id", job->spec.id);
+    kind = job->record.kind;
+    out.set("id", job->record.id);
     out.set("kind", to_string(kind));
-    out.set("state", to_string(job->state));
-    if (!job->error.empty()) out.set("error", job->error);
+    out.set("state", to_string(job->record.state));
+    if (!job->record.error.empty()) out.set("error", job->record.error);
   }
 
   // The disk is read without a lock: every file read here is renamed into
@@ -581,25 +566,10 @@ void JobScheduler::drain() {
     workers.swap(workers_);
     cv_.notify_all();
   }
+  // Nothing to write: an interrupted job's job.json still holds its
+  // admission record, which recover() re-enqueues, and each completed
+  // unit is checkpointed by its summary.json.
   for (std::thread& worker : workers) worker.join();
-
-  // Workers are gone; rewind every interrupted job to "queued" on disk so
-  // the next daemon's recover() re-enqueues it (completed units stay
-  // checkpointed by their summary.json and are skipped, not re-run).
-  std::lock_guard<std::mutex> lk(mutex_);
-  for (auto& [id, job] : jobs_) {
-    if (is_terminal(job->state)) continue;
-    job->state = JobState::kQueued;
-    job->claimed = job->completed;
-    job->units_running = 0;
-    wrr_.remove(id);
-    try {
-      persist_record(*job, record_of(*job));
-    } catch (const std::exception& e) {
-      WSNEX_WARN() << "serve: failed to checkpoint job \"" << id
-                   << "\" during drain: " << e.what();
-    }
-  }
 }
 
 std::size_t JobScheduler::active_jobs() const {
@@ -620,7 +590,7 @@ std::vector<std::string> JobScheduler::execution_log() const {
 std::size_t JobScheduler::active_jobs_locked() const {
   std::size_t active = 0;
   for (const auto& [id, job] : jobs_) {
-    if (!is_terminal(job->state)) ++active;
+    if (!is_terminal(job->record.state)) ++active;
   }
   return active;
 }
@@ -634,48 +604,35 @@ void JobScheduler::worker_loop() {
     const std::string id = wrr_.pick();
     if (id.empty()) continue;
     const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {  // defensive: picker and map out of sync
+    // Defensive: every WRR key is a job with units left to grant.
+    if (it == jobs_.end() || it->second->pending.empty()) {
       wrr_.remove(id);
       continue;
     }
     Job& job = *it->second;
 
-    std::size_t unit = job.claimed.size();
-    for (std::size_t i = 0; i < job.claimed.size(); ++i) {
-      if (!job.claimed[i]) {
-        unit = i;
-        break;
-      }
-    }
-    if (unit == job.claimed.size()) {
-      wrr_.remove(id);
-      continue;
-    }
-    job.claimed[unit] = true;
+    const std::size_t unit = *job.pending.begin();
+    job.pending.erase(job.pending.begin());
     ++job.units_running;
-    log_.push_back(id + ":" + job.unit_names[unit]);
-    static auto& claimed = unit_counter("outcome=\"claimed\"");
-    claimed.inc();
-    if (std::find(job.claimed.begin(), job.claimed.end(), false) ==
-        job.claimed.end()) {
+    const std::string& name = job.record.scenario_names[unit];
+    log_.push_back(id + ":" + name);
+    static auto& claims = unit_counter("outcome=\"claimed\"");
+    claims.inc();
+    if (job.pending.empty()) {
       wrr_.remove(id);  // nothing left to grant; in-flight units finish
     }
-    std::optional<JobRecord> record;
-    if (job.state == JobState::kQueued) {
-      job.state = JobState::kRunning;
+    if (job.record.state == JobState::kQueued) {
+      job.record.state = JobState::kRunning;
       job.running_since_s = util::now_s();
-      record = record_of(job);
       job.events->publish(make_event(Kind::kJobStarted, id, "", ""));
     }
-    job.events->publish(
-        make_event(Kind::kUnitStarted, id, job.unit_names[unit], ""));
+    job.events->publish(make_event(Kind::kUnitStarted, id, name, ""));
 
     lk.unlock();
-    if (record) persist_record(job, *record);
     const double unit_start = util::now_s();
     UnitOutcome outcome;
     {
-      util::trace::Span span("unit", id + ":" + job.unit_names[unit]);
+      util::trace::Span span("unit", id + ":" + name);
       outcome = run_unit(job, unit);
     }
     const double unit_elapsed = util::now_s() - unit_start;
@@ -686,53 +643,42 @@ void JobScheduler::worker_loop() {
     // Deadline check at unit completion: deterministic (no watchdog
     // latency) for jobs whose units do finish — the watchdog only has to
     // catch units that never return.
-    if (!is_terminal(job.state) && !job.fail_requested &&
-        job.spec.deadline_s > 0.0 &&
-        util::now_s() - job.running_since_s > job.spec.deadline_s) {
-      if (job.error.empty()) {
-        job.error = "deadline of " + std::to_string(job.spec.deadline_s) +
-                    "s exceeded";
-      }
-      job.fail_requested = true;
-      wrr_.remove(id);
-      deadline_counter().inc();
-      job.events->publish(
-          make_event(Kind::kDeadlineExceeded, id, "", job.error));
+    if (!is_terminal(job.record.state) && !job.fail_requested &&
+        job.record.deadline_s > 0.0 &&
+        util::now_s() - job.running_since_s > job.record.deadline_s) {
+      fail_past_deadline(job);
     }
     if (outcome.error.empty()) {
-      job.completed[unit] = true;
       ++job.units_done;
       static auto& completed = unit_counter("outcome=\"completed\"");
       completed.inc();
-      job.events->publish(
-          make_event(Kind::kUnitFinished, id, job.unit_names[unit], ""));
+      job.events->publish(make_event(Kind::kUnitFinished, id, name, ""));
     } else if (outcome.transient && !job.fail_requested &&
-               !job.cancel_requested && !is_terminal(job.state) &&
+               !job.cancel_requested && !is_terminal(job.record.state) &&
                job.attempts[unit] < kUnitRetries) {
       // Transient environment failure: give the unit back to the WRR for
       // a bounded number of fresh grants instead of failing the job.
       ++job.attempts[unit];
-      job.claimed[unit] = false;
-      WSNEX_WARN() << "serve: unit " << id << ":" << job.unit_names[unit]
+      job.pending.insert(unit);
+      WSNEX_WARN() << "serve: unit " << id << ":" << name
                    << " hit a transient error (attempt "
                    << job.attempts[unit] << "/" << kUnitRetries
                    << "): " << outcome.error;
       unit_retries_counter().inc();
-      job.events->publish(make_event(Kind::kUnitRetried, id,
-                                     job.unit_names[unit], outcome.error));
-      if (!wrr_.contains(id)) wrr_.add(id, job.spec.priority);
+      job.events->publish(
+          make_event(Kind::kUnitRetried, id, name, outcome.error));
+      wrr_.add(id, job.record.priority);
       cv_.notify_all();
     } else {
-      if (job.error.empty()) job.error = outcome.error;
+      if (job.record.error.empty()) job.record.error = outcome.error;
       job.fail_requested = true;
       wrr_.remove(id);
       static auto& unit_failed = unit_counter("outcome=\"failed\"");
       unit_failed.inc();
-      job.events->publish(make_event(Kind::kUnitFinished, id,
-                                     job.unit_names[unit],
+      job.events->publish(make_event(Kind::kUnitFinished, id, name,
                                      "failed: " + outcome.error));
     }
-    if ((record = maybe_finalize(job))) {
+    if (const std::optional<JobRecord> record = maybe_finalize(job)) {
       lk.unlock();
       persist_record(job, *record);
       lk.lock();
@@ -749,32 +695,22 @@ void JobScheduler::watchdog_loop() {
     std::vector<std::pair<Job*, JobRecord>> expired;
     for (auto& [id, job] : jobs_) {
       Job& j = *job;
-      if (j.state != JobState::kRunning || j.spec.deadline_s <= 0.0) continue;
-      if (now - j.running_since_s <= j.spec.deadline_s) continue;
+      if (j.record.state != JobState::kRunning || j.record.deadline_s <= 0.0) {
+        continue;
+      }
+      if (now - j.running_since_s <= j.record.deadline_s) continue;
       // A stuck unit cannot be preempted (cancellation is cooperative),
       // so the terminal state is published immediately instead of via
       // maybe_finalize; the unit's eventual result lands on a job that is
-      // already failed, which is harmless.
-      if (j.error.empty()) {
-        j.error = "deadline of " + std::to_string(j.spec.deadline_s) +
-                  "s exceeded";
-      }
-      j.fail_requested = true;
-      wrr_.remove(id);
-      deadline_counter().inc();
-      j.events->publish(make_event(Kind::kDeadlineExceeded, id, "", j.error));
-      j.state = JobState::kFailed;
-      static auto& failed = finished_counter("state=\"failed\"");
-      failed.inc();
-      j.events->publish(
-          make_event(Kind::kJobFinished, id, "", to_string(j.state)));
+      // already failed, which is harmless. A deadline that a unit's
+      // completion already tripped is not counted again.
+      if (!j.fail_requested) fail_past_deadline(j);
+      expired.emplace_back(&j, finish(j, JobState::kFailed));
       WSNEX_WARN() << "serve: job \"" << id << "\" failed by watchdog: "
-                   << j.error << " (" << j.units_running
+                   << j.record.error << " (" << j.units_running
                    << " unit(s) still in flight)";
-      expired.emplace_back(&j, record_of(j));
     }
     if (!expired.empty()) {
-      active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
       // Job pointers stay valid unlocked: jobs_ never erases entries.
       lk.unlock();
       for (auto& [job, record] : expired) {
@@ -791,21 +727,22 @@ void JobScheduler::watchdog_loop() {
 }
 
 JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
-  const scenario::ScenarioSpec& spec = job.spec.scenarios[unit];
+  const scenario::ScenarioSpec& spec = job.specs[unit];
+  const JobRecord& record = job.record;
   try {
-    if (job.spec.kind == JobKind::kCampaign) {
+    if (record.kind == JobKind::kCampaign) {
       scenario::CampaignOptions copts;
-      copts.quick = job.spec.quick;
+      copts.quick = record.quick;
       copts.events = job.events.get();
-      copts.event_job_id = job.spec.id;
+      copts.event_job_id = record.id;
       scenario::execute_scenario(spec, copts, *job.store, nullptr, &cache_);
     } else {
       validate::ValidationOptions vopts;
-      vopts.plan.replicates = job.spec.validation.replicates;
-      vopts.plan.duration_s = job.spec.validation.duration_s;
-      vopts.plan.base_seed = job.spec.validation.base_seed;
+      vopts.plan.replicates = record.validation.replicates;
+      vopts.plan.duration_s = record.validation.duration_s;
+      vopts.plan.base_seed = record.validation.base_seed;
       vopts.plan.jobs = 1;  // the slots are the daemon's parallel level
-      vopts.tolerance_percent = job.spec.validation.tolerance_percent;
+      vopts.tolerance_percent = record.validation.tolerance_percent;
       const validate::ValidationReport report =
           validate::run_validation(spec, vopts);
       validate::persist_validation(*job.store, report);
@@ -830,41 +767,42 @@ JobScheduler::UnitOutcome JobScheduler::run_unit(Job& job, std::size_t unit) {
 }
 
 std::optional<JobRecord> JobScheduler::maybe_finalize(Job& job) {
-  if (is_terminal(job.state)) return std::nullopt;
+  if (is_terminal(job.record.state)) return std::nullopt;
   if (job.units_running > 0) return std::nullopt;
-  if (job.fail_requested) {
-    job.state = JobState::kFailed;
-    static auto& failed = finished_counter("state=\"failed\"");
-    failed.inc();
-  } else if (job.units_done == job.completed.size()) {
-    job.state = JobState::kComplete;
-    static auto& complete = finished_counter("state=\"complete\"");
-    complete.inc();
-  } else if (job.cancel_requested) {
-    job.state = JobState::kCancelled;
-    static auto& cancelled = finished_counter("state=\"cancelled\"");
-    cancelled.inc();
-  } else {
-    return std::nullopt;  // pending units remain; keep waiting
+  if (job.fail_requested) return finish(job, JobState::kFailed);
+  if (job.units_done == job.record.scenario_names.size()) {
+    return finish(job, JobState::kComplete);
   }
-  job.events->publish(make_event(Kind::kJobFinished, job.spec.id, "",
-                                 to_string(job.state)));
-  active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
-  return record_of(job);
+  if (job.cancel_requested) return finish(job, JobState::kCancelled);
+  return std::nullopt;  // pending units remain; keep waiting
 }
 
-JobRecord JobScheduler::record_of(const Job& job) const {
-  JobRecord record;
-  record.id = job.spec.id;
-  record.kind = job.spec.kind;
-  record.priority = job.spec.priority;
-  record.quick = job.spec.quick;
-  record.deadline_s = job.spec.deadline_s;
-  record.state = job.state;
-  record.error = job.error;
-  record.scenario_names = job.unit_names;
-  record.validation = job.spec.validation;
-  return record;
+JobRecord JobScheduler::finish(Job& job, JobState state) {
+  static auto& complete = finished_counter("state=\"complete\"");
+  static auto& failed = finished_counter("state=\"failed\"");
+  static auto& cancelled = finished_counter("state=\"cancelled\"");
+  job.record.state = state;
+  (state == JobState::kComplete ? complete
+   : state == JobState::kFailed ? failed
+                                : cancelled)
+      .inc();
+  job.events->publish(
+      make_event(Kind::kJobFinished, job.record.id, "", to_string(state)));
+  active_jobs_gauge().set(static_cast<double>(active_jobs_locked()));
+  return job.record;
+}
+
+void JobScheduler::fail_past_deadline(Job& job) {
+  JobRecord& record = job.record;
+  if (record.error.empty()) {
+    record.error =
+        "deadline of " + std::to_string(record.deadline_s) + "s exceeded";
+  }
+  job.fail_requested = true;
+  wrr_.remove(record.id);
+  deadline_counter().inc();
+  job.events->publish(
+      make_event(Kind::kDeadlineExceeded, record.id, "", record.error));
 }
 
 void JobScheduler::persist_record(Job& job, const JobRecord& record) {
@@ -876,15 +814,15 @@ void JobScheduler::persist_record(Job& job, const JobRecord& record) {
 
 JobProgress JobScheduler::progress_of(const Job& job) const {
   JobProgress progress;
-  progress.id = job.spec.id;
-  progress.kind = job.spec.kind;
-  progress.state = job.state;
-  progress.priority = job.spec.priority;
+  progress.id = job.record.id;
+  progress.kind = job.record.kind;
+  progress.state = job.record.state;
+  progress.priority = job.record.priority;
   progress.units_done = job.units_done;
-  progress.units_total = job.unit_names.size();
+  progress.units_total = job.record.scenario_names.size();
   progress.unit_wallclock_s = job.unit_wallclock_s;
-  progress.error = job.error;
-  progress.scenarios = job.unit_names;
+  progress.error = job.record.error;
+  progress.scenarios = job.record.scenario_names;
   return progress;
 }
 

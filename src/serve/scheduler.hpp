@@ -32,16 +32,18 @@
 //    result persists but cannot resurrect the failed job);
 //  * drain() (SIGTERM path) stops claiming new units, lets in-flight
 //    units finish and checkpoint through the ResultStore summary
-//    protocol, rewinds non-terminal jobs to "queued" on disk and joins
-//    the workers — recover() in the next process picks every such job up
-//    and skips the units whose results are already on disk, reproducing
-//    the uninterrupted run byte-for-byte (the scenario engine's
-//    determinism contract);
-//  * a SIGKILL skips all of that, and recover() still works: job.json is
-//    written before a job is ever runnable, and a unit's results land
-//    before the summary.json that marks it complete, so the worst case is
-//    re-running one unit whose (deterministic) summary had not been
-//    written.
+//    protocol and joins the workers. It writes nothing else: job.json is
+//    written only at admission and at the job's terminal transition, so a
+//    non-terminal job's record still holds its admission state, and
+//    recover() in the next process re-enqueues every such job and skips
+//    the units whose results are already on disk, reproducing the
+//    uninterrupted run byte-for-byte (the scenario engine's determinism
+//    contract);
+//  * a SIGKILL skips the drain, and recover() still works the same way:
+//    job.json (the admission record) is written before a job is ever
+//    runnable, and a unit's results land before the summary.json that
+//    marks it complete, so the worst case is re-running one unit whose
+//    (deterministic) summary had not been written.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +77,6 @@ class WeightedRoundRobin {
   /// key updates its weight without resetting its remaining credit.
   void add(const std::string& key, std::size_t weight);
   void remove(const std::string& key);
-  bool contains(const std::string& key) const;
   bool empty() const { return entries_.empty(); }
 
   /// The next key to grant one slot to; empty string when no key is
@@ -197,15 +199,16 @@ class JobScheduler {
 
  private:
   struct Job {
-    JobSpec spec;
-    /// Scenario names in unit order. Redundant with spec.scenarios for
-    /// runnable jobs, but terminal recovered jobs keep only the names
-    /// (their frozen specs stay on disk, unloaded).
-    std::vector<std::string> unit_names;
-    JobState state = JobState::kQueued;
-    std::string error;
-    std::vector<bool> claimed;    ///< unit granted to a worker (or skipped)
-    std::vector<bool> completed;  ///< unit's results are on disk
+    /// The job's identity and live state: `state` and `error` are the
+    /// ones status reports. job.json holds this record as it stood at
+    /// admission and, once the job is terminal, at its verdict.
+    JobRecord record;
+    /// Frozen scenario specs in unit order; empty for a recovered terminal
+    /// job (its specs stay on disk, unloaded).
+    std::vector<scenario::ScenarioSpec> specs;
+    /// Units not yet granted to a worker, lowest index first. The job is
+    /// in the WRR while this is non-empty and nothing stopped the job.
+    std::set<std::size_t> pending;
     std::size_t units_done = 0;
     std::size_t units_running = 0;
     double unit_wallclock_s = 0.0;  ///< accumulated run_unit wall clock
@@ -221,7 +224,7 @@ class JobScheduler {
     std::shared_ptr<util::events::EventRing> events =
         std::make_shared<util::events::EventRing>(1024);
     std::unique_ptr<scenario::ResultStore> store;
-    /// Serializes this job's job.json rewrites. Unit writes need no lock:
+    /// Serializes this job's job.json writes. Unit writes need no lock:
     /// each unit writes only its own results/<name>/, and results() reads
     /// only files renamed into place or written before the job was
     /// published.
@@ -240,12 +243,18 @@ class JobScheduler {
     std::string error;  ///< empty on success
     bool transient = false;
   };
-  /// Runs one claimed unit (no scheduler lock held).
+  /// Runs one granted unit (no scheduler lock held).
   UnitOutcome run_unit(Job& job, std::size_t unit);
   /// Terminal-state transition once nothing is running; returns the
   /// record to persist (caller writes it outside the scheduler lock).
   std::optional<JobRecord> maybe_finalize(Job& job);
-  JobRecord record_of(const Job& job) const;
+  /// Moves the job to terminal `state`, counts and publishes it; returns
+  /// the record to persist.
+  JobRecord finish(Job& job, JobState state);
+  /// Marks a job failed for running past its deadline_s: error text,
+  /// fail_requested, out of the WRR, counted and published. Callers skip
+  /// a job already fail_requested, so a job's deadline counts at most once.
+  void fail_past_deadline(Job& job);
   void persist_record(Job& job, const JobRecord& record);
   JobProgress progress_of(const Job& job) const;
   std::size_t active_jobs_locked() const;

@@ -283,7 +283,7 @@ TEST_F(ServeE2eTest, KilledDaemonsResumeToByteIdenticalResults) {
     client.submit(campaign_job("job-c"));
     client.submit(validation_job("job-v"));
     wait_units(client, "job-c", 1);
-    daemon.stop_graceful();  // drain: in-flight unit finishes, rest rewinds
+    daemon.stop_graceful();  // drain: in-flight unit finishes, rest waits
   }
   {
     ServeDaemon daemon(term_dir);

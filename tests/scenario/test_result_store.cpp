@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
 #include "util/json.hpp"
 
@@ -176,6 +177,20 @@ class StoreRecordTest : public StoreSweepTest {
     ss << in.rdbuf();
     return ss.str();
   }
+
+  /// complete() on each header entry, and load_manifest(), both say
+  /// `expected`.
+  static void expect_completion(const ResultStore& store,
+                                const std::vector<bool>& expected) {
+    const CampaignManifest header = store.load_header();
+    const CampaignManifest manifest = store.load_manifest();
+    ASSERT_EQ(header.scenarios.size(), expected.size());
+    ASSERT_EQ(manifest.scenarios.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(store.complete(header.scenarios[i]), expected[i]) << i;
+      EXPECT_EQ(manifest.scenarios[i].complete, expected[i]) << i;
+    }
+  }
 };
 
 // A summary.json left by a deleted campaign must not pass as the result of
@@ -219,6 +234,43 @@ TEST_F(StoreRecordTest, RecordCompleteWritesNothingAndNeedsTheSummary) {
   EXPECT_EQ(loaded.front_size, 3u);
   EXPECT_EQ(loaded.feasible_size, 1u);
   EXPECT_EQ(loaded.wallclock_s, 0.5);
+}
+
+// complete() is load_manifest()'s completion rule, applied to the header
+// alone (what `wsnex watch DIR` polls).
+TEST_F(StoreRecordTest, CompleteAgreesWithLoadManifest) {
+  const std::vector<ScenarioSpec> specs{
+      preset("hospital_ward_2"), preset("hospital_ward_3"), preset("all_cs_6")};
+  CampaignOptions half;
+  half.out_dir = (root_ / "half").string();
+  half.quick = true;
+  half.abort_after = 1;
+  EXPECT_FALSE(run_campaign(specs, half).complete);
+  expect_completion(ResultStore(half.out_dir), {true, false, false});
+
+  // A format-1 header: a "pending" entry whose summary landed, a
+  // "complete" entry without a summary (an older daemon's validation
+  // unit), and a scenario that never ran.
+  ResultStore v1((root_ / "v1").string());
+  v1.initialize(specs, /*quick=*/true);
+  v1.write_summary("hospital_ward_2", summary_with(10, 0.5));
+  util::Json scenarios = util::Json::array();
+  for (const ScenarioSpec& spec : specs) {
+    util::Json entry = summary_with(0, 1.25);
+    entry.set("name", spec.name);
+    entry.set("status", spec.name == "hospital_ward_3" ? "complete"
+                                                       : "pending");
+    scenarios.push_back(std::move(entry));
+  }
+  util::Json header = util::Json::object();
+  header.set("format_version", 1);
+  header.set("quick", true);
+  header.set("scenarios", std::move(scenarios));
+  {
+    std::ofstream out(v1.manifest_path(), std::ios::binary | std::ios::trunc);
+    out << header.dump(2);
+  }
+  expect_completion(v1, {true, true, false});
 }
 
 }  // namespace

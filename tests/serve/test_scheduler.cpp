@@ -1,7 +1,8 @@
 // JobScheduler behavior: weighted-round-robin fairness (pure allocator +
 // claim-order integration), admission control, cancel idempotency,
 // per-job failure isolation, concurrent same-spec jobs in isolated
-// shards, and drain/recover across scheduler generations.
+// shards, drain/recover across scheduler generations, and the job.json
+// write contract (admission and verdict only).
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "scenario/registry.hpp"
 #include "util/events.hpp"
 #include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace wsnex::serve {
 namespace {
@@ -30,6 +32,11 @@ std::string read_file(const fs::path& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// Looked up by name; the help text of the first registration is kept.
+double metric(const char* name) {
+  return util::metrics::Registry::instance().counter(name, "").value();
 }
 
 TEST(WeightedRoundRobin, EqualWeightsAlternate) {
@@ -285,7 +292,7 @@ TEST_F(SchedulerTest, DrainThenRecoverResumesPendingJobs) {
                                                        "hospital_ward_3"}))
                   .code,
               JobScheduler::Admission::Code::kAccepted);
-    // Never started; drain persists it as queued.
+    // Never started; its job.json stays the queued admission record.
     first.drain();
     EXPECT_EQ(first.submit(validation_job("late", {"hospital_ward_2"})).code,
               JobScheduler::Admission::Code::kStopping);
@@ -638,7 +645,7 @@ TEST_F(SchedulerTest, RecoveredJobWithThreadsInItsSpecCompletes) {
     JobScheduler first(options());
     ASSERT_EQ(first.submit(spec).code,
               JobScheduler::Admission::Code::kAccepted);
-    first.drain();  // never started: persisted as queued
+    first.drain();  // never started: job.json stays the admission record
   }
   JobScheduler second(options());
   EXPECT_EQ(second.recover(), 1u);
@@ -778,6 +785,107 @@ TEST_F(SchedulerTest, ExhaustedTransientRetriesFailTheJob) {
   EXPECT_EQ(done.state, JobState::kFailed);
   EXPECT_NE(done.error.find("injected"), std::string::npos) << done.error;
   EXPECT_EQ(scheduler.execution_log().size(), 2u);
+}
+
+// A unit's completion trips the deadline while its sibling still runs;
+// the watchdog then fails the job without counting the deadline again.
+TEST_F(SchedulerTest, DeadlineTrippedByAUnitIsCountedOnce) {
+  if (!util::failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without WSNEX_FAILPOINTS";
+  }
+  FailpointGuard guard;
+  // The second unit's report write stalls across several watchdog polls.
+  util::failpoint::configure("result_store.validation=sleep(800)#2");
+  const double before = metric("wsnex_serve_deadline_exceeded_total");
+  JobScheduler scheduler(options(/*slots=*/2));
+  JobSpec spec =
+      validation_job("rushed", {"hospital_ward_2", "hospital_ward_3"});
+  spec.deadline_s = 1e-6;
+  ASSERT_EQ(scheduler.submit(spec).code,
+            JobScheduler::Admission::Code::kAccepted);
+  scheduler.start();
+  EXPECT_EQ(wait_terminal(scheduler, "rushed").state, JobState::kFailed);
+  scheduler.drain();  // the stalled unit lands on the failed job
+  EXPECT_EQ(util::failpoint::hits("result_store.validation"), 2u);
+
+  std::vector<util::events::Event> events;
+  scheduler.events("rushed")->read_since(0, events, nullptr);
+  std::size_t deadlines = 0;
+  std::vector<std::string> finished;
+  for (const util::events::Event& event : events) {
+    if (event.kind == util::events::Kind::kDeadlineExceeded) ++deadlines;
+    if (event.kind == util::events::Kind::kJobFinished) {
+      finished.emplace_back(event.detail);
+    }
+  }
+  EXPECT_EQ(deadlines, 1u);
+  EXPECT_EQ(finished, std::vector<std::string>{"failed"});
+  EXPECT_EQ(metric("wsnex_serve_deadline_exceeded_total") - before, 1.0);
+}
+
+// job.json is written at admission and at the verdict, nowhere else: 4
+// fsyncs of store init (the frozen spec, scenarios/ and 2 for the
+// campaign.json header), 2 for the admission record, 4 for
+// validation.json and summary.json, and 2 for the verdict.
+TEST_F(SchedulerTest, OneUnitJobIssuesTwelveFsyncs) {
+  const double before = metric("wsnex_fsyncs_total");
+  JobScheduler scheduler(options());
+  ASSERT_EQ(scheduler.submit(validation_job("counted", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  scheduler.start();
+  EXPECT_EQ(wait_terminal(scheduler, "counted").state, JobState::kComplete);
+  scheduler.drain();  // the verdict write has landed
+  EXPECT_EQ(metric("wsnex_fsyncs_total") - before, 12.0);
+}
+
+// A drained job's job.json is its admission record, untouched: recover()
+// re-enqueues any non-terminal record, so drain has nothing to write.
+TEST_F(SchedulerTest, DrainWritesNoRecord) {
+  JobScheduler scheduler(options());  // never started
+  ASSERT_EQ(scheduler.submit(validation_job("parked", {"hospital_ward_2"}))
+                .code,
+            JobScheduler::Admission::Code::kAccepted);
+  const fs::path record = fs::path(scheduler.shard_dir("parked")) / "job.json";
+  const std::string admitted = read_file(record);
+  const double before = metric("wsnex_fsyncs_total");
+  scheduler.drain();
+  EXPECT_EQ(metric("wsnex_fsyncs_total") - before, 0.0);
+  EXPECT_EQ(read_file(record), admitted);
+}
+
+// Older daemons rewrote job.json to "running" at a job's first claim; such
+// a record still loads, re-enqueues and runs to its verdict.
+TEST_F(SchedulerTest, RecoverRunsARecordLeftRunning) {
+  fs::path record;
+  {
+    JobScheduler first(options());
+    ASSERT_EQ(first
+                  .submit(validation_job("legacy", {"hospital_ward_2",
+                                                    "hospital_ward_3"}))
+                  .code,
+              JobScheduler::Admission::Code::kAccepted);
+    first.drain();
+    record = fs::path(first.shard_dir("legacy")) / "job.json";
+  }
+  util::Json json = util::Json::parse(read_file(record));
+  json.set("state", "running");
+  {
+    std::ofstream out(record, std::ios::binary | std::ios::trunc);
+    out << json.dump(2) << "\n";
+  }
+  {
+    JobScheduler second(options());
+    EXPECT_EQ(second.recover(), 1u);
+    EXPECT_EQ(second.status("legacy")->state, JobState::kQueued);
+    second.start();
+    const JobProgress done = wait_terminal(second, "legacy");
+    EXPECT_EQ(done.state, JobState::kComplete);
+    EXPECT_EQ(done.units_done, 2u);
+    second.drain();
+  }
+  EXPECT_EQ(JobRecord::from_json(util::Json::parse(read_file(record))).state,
+            JobState::kComplete);
 }
 
 }  // namespace

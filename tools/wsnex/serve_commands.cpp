@@ -319,12 +319,13 @@ int watch_dir(const std::string& dir) {
   }
   std::printf("watching campaign at %s (ctrl-c to stop)\n",
               store.root().c_str());
+  // The header never changes; each poll only asks which summaries exist.
+  const scenario::CampaignManifest header = store.load_header();
   std::map<std::string, std::size_t> offsets;
   for (;;) {
-    const scenario::CampaignManifest manifest = store.load_manifest();
     bool all_complete = true;
-    for (const scenario::ScenarioStatus& status : manifest.scenarios) {
-      if (!status.complete) all_complete = false;
+    for (const scenario::ScenarioStatus& status : header.scenarios) {
+      if (!store.complete(status)) all_complete = false;
       std::ifstream in(store.progress_jsonl_path(status.name),
                        std::ios::binary);
       if (!in) continue;
